@@ -88,14 +88,17 @@ chaos:
 chaos-mesh:
 	$(GO) test -race -count=1 -timeout 20m -run TestMeshChurn ./internal/mesh
 
-# fuzz gives each wire-format fuzzer a short smoke budget; go only
-# accepts one -fuzz target per invocation.
+# fuzz gives each wire-format fuzzer — and the differential fuzzers of
+# the in-memory filter hand-off and the meeting-window degree — a short
+# smoke budget; go only accepts one -fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/livenode -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s
 	$(GO) test ./internal/livenode -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 5s
 	$(GO) test ./internal/livenode -run '^$$' -fuzz FuzzDecodeHello -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSessionSteps -fuzztime 5s
 	$(GO) test ./internal/tcbf -run '^$$' -fuzz FuzzTCBFModel -fuzztime 5s
+	$(GO) test ./internal/tcbf -run '^$$' -fuzz FuzzQuantizeCopy -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDegree -fuzztime 5s
 	$(GO) test ./internal/filtertest -run '^$$' -fuzz FuzzFilterModel -fuzztime 5s
 	$(GO) test ./internal/faultnet -run '^$$' -fuzz FuzzFabricHealDuringHandshake -fuzztime 5s
 
@@ -162,7 +165,7 @@ bench:
 # contact path). When `make scale` has left artifacts/scale.json behind,
 # the full 10k/100k/1M sweep is embedded as the document's "scale" field.
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineContact|InsertPre|ContainsPre|MMergeInPlace|EncodeTo|DecodeInto|EncodeFull|DecodeFull' \
-		-benchmem -count=1 ./internal/engine ./internal/tcbf ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineContact|BenchmarkCoreContact|InsertPre|ContainsPre|MMergeInPlace|EncodeTo|DecodeInto|EncodeFull|DecodeFull|QuantizeCopy|WireSize' \
+		-benchmem -count=1 ./internal/engine ./internal/core ./internal/tcbf ; \
 	  $(GO) test -run '^$$' -bench BenchmarkScaleSim -benchtime 1x -count=1 ./internal/experiments ; } \
 		| $(GO) run ./cmd/benchjson $(if $(wildcard artifacts/scale.json),-scale artifacts/scale.json) > BENCH_PR8.json

@@ -6,6 +6,7 @@
 //	bsub-sim -protocol bsub -ttl 2h -df 0.138 trace.txt
 //	bsub-sim -protocol push -preset haggle -ttl 10h
 //	bsub-sim -nodes 100000 -workers 8 -epoch 10m -ttl 6h
+//	bsub-sim -nodes 100000 -df 0.1 -ttl 6h -cpuprofile cpu.pprof
 //
 // The trace comes either from a file argument (the repository's text
 // format, see cmd/tracegen), from a -preset, or — for population-scale
@@ -15,6 +16,7 @@
 // message rates proportional to centrality, sizes up to 140 bytes.
 // -workers shards contact execution across goroutines and -epoch sets the
 // barrier width; results are byte-identical for any setting of either.
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run.
 package main
 
 import (
@@ -26,6 +28,7 @@ import (
 
 	"bsub/internal/core"
 	"bsub/internal/experiments"
+	"bsub/internal/profiling"
 	"bsub/internal/protocol"
 	"bsub/internal/sim"
 	"bsub/internal/trace"
@@ -39,7 +42,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		protoName = flag.String("protocol", "bsub", "protocol: bsub | push | pull")
 		preset    = flag.String("preset", "", "trace preset: haggle | mit3day | small (alternative to a trace file)")
@@ -50,8 +53,16 @@ func run() error {
 		nodes     = flag.Int("nodes", 0, "stream a synthetic scale trace with this many nodes (alternative to a trace file or -preset)")
 		workers   = flag.Int("workers", 0, "execution goroutines; 0 = 1; output is identical for any value")
 		epoch     = flag.Duration("epoch", 0, "sharding epoch width; 0 = default; output is identical for any value")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
+
+	stop, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	switch {
 	case *nodes < 0 || *nodes == 1:
@@ -116,6 +127,7 @@ func run() error {
 	fmt.Printf("workload:  %d messages, TTL %v\n", len(fixture.Messages), *ttl)
 	fmt.Printf("result:    %s\n", report)
 	fmt.Printf("traffic:   control %d B, data %d B\n", report.ControlBytes, report.DataBytes)
+	fmt.Printf("replicas:  %d producer-to-broker, %d falsely injected\n", report.Replications, report.FalseInjections)
 	return nil
 }
 
@@ -162,6 +174,7 @@ func runScale(nodes, workers int, epoch time.Duration, protoName string, ttl tim
 	fmt.Printf("workload:  %d messages (streamed), TTL %v\n", report.Created, ttl)
 	fmt.Printf("result:    %s\n", report)
 	fmt.Printf("traffic:   control %d B, data %d B\n", report.ControlBytes, report.DataBytes)
+	fmt.Printf("replicas:  %d producer-to-broker, %d falsely injected\n", report.Replications, report.FalseInjections)
 	fmt.Printf("engine:    %d workers, %v wall, %.0f contacts/s\n",
 		max(workers, 1), wall.Round(time.Millisecond), float64(report.Contacts)/wall.Seconds())
 	return nil

@@ -7,9 +7,11 @@
 //	experiments                 # run everything (minutes)
 //	experiments -run fig7       # one artifact: table1 table2 fig7 fig8 fig9 memory analysis allocation
 //	experiments -quick          # small fixture + reduced sweeps (seconds)
+//	experiments -run scale -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +22,7 @@ import (
 
 	"bsub/internal/analysis"
 	"bsub/internal/experiments"
+	"bsub/internal/profiling"
 	"bsub/internal/workload"
 )
 
@@ -30,15 +33,23 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		only     = flag.String("run", "", "run a single artifact: table1 | table2 | fig7 | fig8 | fig9 | memory | analysis | allocation | ablation | scale")
 		seed     = flag.Int64("seed", 1, "random seed")
 		quick    = flag.Bool("quick", false, "use the small fixture and reduced sweeps")
 		csvDir   = flag.String("csv", "", "also write the figure series as CSV files into this directory")
 		benchOut = flag.String("bench-json", "", "write the filter-backend ablation (grid + population leg) as JSON to this file; ablation artifact only")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
+
+	stop, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	artifacts := []string{"table1", "table2", "fig7", "fig8", "fig9", "memory", "analysis", "allocation", "ablation"}
 	if *only == "scale" {

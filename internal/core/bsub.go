@@ -7,8 +7,10 @@
 // machine. This package only:
 //
 //   - maps trace.NodeID contacts onto engine sessions and moves the
-//     sessions' wire encodings across a function call (the live node moves
-//     the same bytes across TCP frames);
+//     sessions' wire encodings across a function call — relay filters
+//     through engine.HandRelays/HandAdvert, which hand the quantized
+//     filter across in memory and charge its wire length, where the live
+//     node moves the bytes across TCP frames;
 //   - charges every transfer to the contact's bandwidth Budget and
 //     reports control/forwarding/delivery traffic to the sim.Env metrics;
 //   - maintains the simulator-side ground-truth "oracle" of each relay
@@ -63,10 +65,13 @@ func DefaultConfig(decayPerMinute float64) Config {
 type node struct {
 	id  trace.NodeID
 	eng *engine.Node
+	// keys are the node's interests as indices into BSub.keyIndex.
+	keys []int32
 
-	// oracle mirrors the relay filter's content exactly (no collisions);
-	// non-nil iff the node is a broker. oracleAt is its decay clock.
-	oracle   map[workload.Key]float64
+	// oracle mirrors the relay filter's content exactly (no collisions):
+	// one counter per interned interest key, zero when absent. It is
+	// non-nil iff the node is a broker; oracleAt is its decay clock.
+	oracle   []float64
 	oracleAt time.Duration
 }
 
@@ -80,6 +85,12 @@ type BSub struct {
 	// handful of warm scratch arenas serve the whole population instead
 	// of one arena lingering per node.
 	caches []*engine.SessionCache
+
+	// keyIndex interns every subscribed key at Init, so oracles are dense
+	// slices instead of maps; snaps holds one pre-merge oracle snapshot
+	// buffer per worker.
+	keyIndex map[workload.Key]int32
+	snaps    [][]float64
 
 	// The broker census below is cross-node diagnostic state, so it is the
 	// one piece of BSub that contacts in disjoint components still share;
@@ -104,17 +115,30 @@ func (p *BSub) Name() string { return "B-SUB" }
 // Init implements sim.Protocol.
 func (p *BSub) Init(pop sim.Population, _ *rand.Rand) error {
 	p.nodes = make([]*node, pop.Nodes())
+	p.keyIndex = make(map[workload.Key]int32)
 	for i := range p.nodes {
 		eng, err := engine.NewNode(i, p.cfg, pop.TTL())
 		if err != nil {
 			return err
 		}
 		eng.Subscribe(pop.InterestSet(trace.NodeID(i))...)
-		p.nodes[i] = &node{id: trace.NodeID(i), eng: eng}
+		interests := eng.Interests()
+		keys := make([]int32, len(interests))
+		for j, k := range interests {
+			idx, ok := p.keyIndex[k]
+			if !ok {
+				idx = int32(len(p.keyIndex))
+				p.keyIndex[k] = idx
+			}
+			keys[j] = idx
+		}
+		p.nodes[i] = &node{id: trace.NodeID(i), eng: eng, keys: keys}
 	}
 	p.caches = make([]*engine.SessionCache, pop.Workers())
+	p.snaps = make([][]float64, pop.Workers())
 	for i := range p.caches {
 		p.caches[i] = engine.NewSessionCache()
+		p.snaps[i] = make([]float64, len(p.keyIndex))
 	}
 	return nil
 }
@@ -194,7 +218,7 @@ func (p *BSub) syncRoles(a, b *node, now time.Duration) {
 func (p *BSub) syncRole(n *node, now time.Duration) {
 	switch {
 	case n.eng.IsBroker() && n.oracle == nil:
-		n.oracle = make(map[workload.Key]float64)
+		n.oracle = make([]float64, len(p.keyIndex))
 		n.oracleAt = now
 		p.brokerCount++
 	case !n.eng.IsBroker() && n.oracle != nil:
@@ -218,17 +242,19 @@ func (p *BSub) advanceOracle(n *node, now time.Duration) {
 	}
 	dec := df * elapsed.Minutes()
 	for k, c := range n.oracle {
-		c -= dec
-		if c <= 0 {
-			delete(n.oracle, k)
-		} else {
-			n.oracle[k] = c
+		if c == 0 {
+			continue
 		}
+		if c -= dec; c <= 0 {
+			c = 0
+		}
+		n.oracle[k] = c
 	}
 }
 
 // mergeOracle applies the broker merge semantics to ground-truth counters.
-func mergeOracle(dst, src map[workload.Key]float64, mode BrokerMergeMode) {
+// Absent keys are zero on both sides, so merging them changes nothing.
+func mergeOracle(dst, src []float64, mode BrokerMergeMode) {
 	for k, c := range src {
 		switch {
 		case mode == BrokerMergeAdditive:
@@ -258,7 +284,7 @@ func (p *BSub) propagateGenuine(env sim.Env, c *node, sc *engine.Session, br *no
 		return
 	}
 	p.advanceOracle(br, now)
-	for _, k := range c.eng.Interests() {
+	for _, k := range c.keys {
 		br.oracle[k] += p.cfg.InitialCounter
 	}
 }
@@ -267,13 +293,12 @@ func (p *BSub) propagateGenuine(env sim.Env, c *node, sc *engine.Session, br *no
 // make forwarding decisions against the peer's pre-merge filter, then
 // merge — mirroring the merges on the ground-truth oracles.
 func (p *BSub) exchangeRelays(env sim.Env, a *node, sa *engine.Session, b *node, sb *engine.Session, now time.Duration) {
-	dataA, errA := sa.RelayOut()
-	dataB, errB := sb.RelayOut()
-	if errA != nil || errB != nil || dataA == nil || dataB == nil {
+	sent, err := engine.HandRelays(sa, sb)
+	if sent == 0 {
 		return
 	}
-	env.RecordControl(len(dataA) + len(dataB))
-	if sa.SetPeerRelay(dataB) != nil || sb.SetPeerRelay(dataA) != nil {
+	env.RecordControl(sent)
+	if err != nil {
 		return
 	}
 
@@ -288,10 +313,8 @@ func (p *BSub) exchangeRelays(env sim.Env, a *node, sa *engine.Session, b *node,
 	// filters).
 	p.advanceOracle(a, now)
 	p.advanceOracle(b, now)
-	snapA := make(map[workload.Key]float64, len(a.oracle))
-	for k, c := range a.oracle {
-		snapA[k] = c
-	}
+	snapA := p.snaps[env.Worker()]
+	copy(snapA, a.oracle)
 	mergeOracle(a.oracle, b.oracle, p.cfg.BrokerMerge)
 	mergeOracle(b.oracle, snapA, p.cfg.BrokerMerge)
 }
@@ -332,12 +355,11 @@ func (p *BSub) forward(env sim.Env, src *node, ss *engine.Session, dst *node, no
 // introduces delivery-side false positives, and env.Deliver classifies
 // them.
 func (p *BSub) deliveryPull(env sim.Env, asker *node, sAsker *engine.Session, server *node, sServer *engine.Session, now time.Duration) {
-	data, err := sAsker.InterestOut()
-	if err != nil || data == nil {
+	sent, matches, err := engine.HandInterest(sAsker, sServer)
+	if sent == 0 {
 		return
 	}
-	env.RecordControl(len(data))
-	matches, err := sServer.DeliveryMatches(data)
+	env.RecordControl(sent)
 	if err != nil {
 		return
 	}
@@ -372,12 +394,11 @@ func (p *BSub) replicationPull(env sim.Env, asker *node, sAsker *engine.Session,
 	if !sAsker.SelfBroker() {
 		return
 	}
-	data, err := sAsker.RelayAdvertOut()
-	if err != nil || data == nil {
+	sent, matches, err := engine.HandAdvert(sAsker, sServer)
+	if sent == 0 {
 		return
 	}
-	env.RecordControl(len(data))
-	matches, err := sServer.ReplicationMatches(data)
+	env.RecordControl(sent)
 	if err != nil {
 		return
 	}
@@ -397,7 +418,7 @@ func (p *BSub) replicationPull(env sim.Env, asker *node, sAsker *engine.Session,
 		genuineMatch := false
 		if asker.oracle != nil {
 			for _, k := range m.MatchKeys() {
-				if asker.oracle[k] > 0 {
+				if idx, ok := p.keyIndex[k]; ok && asker.oracle[idx] > 0 {
 					genuineMatch = true
 					break
 				}

@@ -703,7 +703,7 @@ func TestOracleMirrorsRelayDecay(t *testing.T) {
 	// broker 1's relay filter and oracle.
 	p.OnContact(&fakeEnv{nodes: 2, ttl: time.Hour}, 0, 1, sim.NewBudget(1<<20))
 
-	if n.oracle["k"] <= 0 {
+	if n.oracle[p.keyIndex["k"]] <= 0 {
 		t.Fatalf("oracle missing planted interest: %v", n.oracle)
 	}
 	relay := n.eng.Relay()
@@ -722,7 +722,7 @@ func TestOracleMirrorsRelayDecay(t *testing.T) {
 		t.Error("relay filter kept the interest past its lifetime")
 	}
 	p.advanceOracle(n, later)
-	if c := n.oracle["k"]; c > 0 {
+	if c := n.oracle[p.keyIndex["k"]]; c > 0 {
 		t.Errorf("oracle counter %g survived past the filter's lifetime", c)
 	}
 }

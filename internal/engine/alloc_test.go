@@ -15,7 +15,8 @@ import (
 // TestContactAllocationFree pins the tentpole property of the contact hot
 // path: a warm BeginContact → full broker-broker exchange → Release cycle
 // performs zero heap allocations on the default packed TCBF backend, in
-// both broker merge modes. The alternative filter backends ride the same
+// both broker merge modes, over the byte steps and over the in-process
+// Hand* steps the simulator uses. The alternative filter backends ride the same
 // cycle: retouching works in place and a stationary autoscaling stack
 // never grows, so both stay at zero; the Bloofi tree allocates by design
 // (per-insert rebuilds, absorb-as-leaf clones) and is pinned to a budget
@@ -27,12 +28,15 @@ func TestContactAllocationFree(t *testing.T) {
 		mode    BrokerMergeMode
 		backend filter.Backend // nil = the default packed TCBF
 		budget  float64        // max allocs per warm contact cycle
+		hand    bool           // run the in-process Hand* steps
 	}{
-		{"mmerge", BrokerMergeMax, nil, 0},
-		{"amerge", BrokerMergeAdditive, nil, 0},
-		{"retouched", BrokerMergeMax, filter.Retouched{}, 0},
-		{"autoscale", BrokerMergeMax, filter.Autoscale{}, 0},
-		{"bloofi", BrokerMergeMax, bloofi.Backend{}, allocBudgetBloofi},
+		{"mmerge", BrokerMergeMax, nil, 0, false},
+		{"amerge", BrokerMergeAdditive, nil, 0, false},
+		{"mmerge-hand", BrokerMergeMax, nil, 0, true},
+		{"amerge-hand", BrokerMergeAdditive, nil, 0, true},
+		{"retouched", BrokerMergeMax, filter.Retouched{}, 0, false},
+		{"autoscale", BrokerMergeMax, filter.Autoscale{}, 0, false},
+		{"bloofi", BrokerMergeMax, bloofi.Backend{}, allocBudgetBloofi, false},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			const ttl = 100 * time.Hour
@@ -82,19 +86,25 @@ func TestContactAllocationFree(t *testing.T) {
 				actL, actR := sl.Elect(), sr.Elect()
 				sl.Apply(actL, actR)
 				sr.Apply(actR, actL)
-				dl, err := sl.RelayOut()
-				if err != nil {
-					t.Fatal(err)
-				}
-				dr, err := sr.RelayOut()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sl.SetPeerRelay(dr); err != nil {
-					t.Fatal(err)
-				}
-				if err := sr.SetPeerRelay(dl); err != nil {
-					t.Fatal(err)
+				if m.hand {
+					if _, err := HandRelays(sl, sr); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					dl, err := sl.RelayOut()
+					if err != nil {
+						t.Fatal(err)
+					}
+					dr, err := sr.RelayOut()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sl.SetPeerRelay(dr); err != nil {
+						t.Fatal(err)
+					}
+					if err := sr.SetPeerRelay(dl); err != nil {
+						t.Fatal(err)
+					}
 				}
 				cands, err := sr.ForwardCandidates()
 				if err != nil {
@@ -113,6 +123,15 @@ func TestContactAllocationFree(t *testing.T) {
 				}
 				for _, pair := range [][2]*Session{{sl, sr}, {sr, sl}} {
 					asker, server := pair[0], pair[1]
+					if m.hand {
+						if _, _, err := HandInterest(asker, server); err != nil {
+							t.Fatal(err)
+						}
+						if _, _, err := HandAdvert(asker, server); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
 					in, err := asker.InterestOut()
 					if err != nil {
 						t.Fatal(err)

@@ -66,7 +66,13 @@ type Node struct {
 	// preInterests mirrors interests with precomputed filter digests, so
 	// per-contact filter builds (GenuineOut, InterestOut) hash nothing.
 	preInterests []tcbf.PreKey
-	broker       bool
+	// interestEnc and genuineEnc memoize the InterestOut and GenuineOut
+	// encodings, which depend only on the subscriptions: nil until first
+	// use, cleared by Subscribe, and never mutated once built, so a live
+	// session may still be sending one while another rebuilds it.
+	interestEnc []byte
+	genuineEnc  []byte
+	broker      bool
 
 	// relay is the broker's relay filter, built by the configured
 	// internal/filter backend (the default is the Section VI-D
@@ -84,9 +90,10 @@ type Node struct {
 	// the two maps below: nil reads as empty, first write allocates.
 	delivered map[int]struct{}
 
-	// meetings maps peers to their last meeting time; a node's degree is
-	// the number of peers met within the window.
-	meetings map[NodeID]time.Duration
+	// meetings holds each peer's last meeting, ordered by time; a node's
+	// degree is the number of peers met within the window. Expired peers
+	// sit at the front, so Degree drops them without walking the rest.
+	meetings []meeting
 	// sightings maps broker IDs to this node's latest sighting of them.
 	sightings map[NodeID]sighting
 
@@ -135,6 +142,7 @@ func (n *Node) TTL() time.Duration { return n.ttl }
 // slice for its key; the shared slice has cap 1, so a second Subscribe
 // relocates rather than mutating it.
 func (n *Node) Subscribe(keys ...workload.Key) {
+	n.interestEnc, n.genuineEnc = nil, nil
 	for _, k := range keys {
 		dup := false
 		for _, have := range n.interests {
@@ -284,20 +292,31 @@ func (n *Node) Demote() {
 
 // RecordMeeting notes a contact with peer at the given time (Session
 // records it automatically; exported for tests and adapters seeding
-// history).
+// history). The latest call wins, even with an earlier time.
 //
 //bsub:hotpath
 func (n *Node) RecordMeeting(peer NodeID, at time.Duration) {
-	if n.meetings == nil {
-		n.growMeetings()
+	m := n.meetings
+	for i := range m {
+		if m[i].peer == peer {
+			if m[i].at == at {
+				return
+			}
+			m = append(m[:i], m[i+1:]...)
+			break
+		}
 	}
-	n.meetings[peer] = at
+	// Insert after every meeting at or before at: in order, that is the
+	// end; a live session whose pinned clock lags a concurrent one's, or
+	// seeded history, shifts back into place.
+	i := len(m)
+	m = append(m, meeting{})
+	for ; i > 0 && m[i-1].at > at; i-- {
+		m[i] = m[i-1]
+	}
+	m[i] = meeting{peer: peer, at: at}
+	n.meetings = m
 }
-
-// growMeetings allocates the meeting history on a node's first contact.
-//
-//bsub:coldpath
-func (n *Node) growMeetings() { n.meetings = make(map[NodeID]time.Duration) }
 
 // RecordBrokerSighting seeds the election history with a broker sighting
 // (tests and adapters; Session records sightings automatically).
@@ -320,15 +339,15 @@ func (n *Node) growSightings() { n.sightings = make(map[NodeID]sighting) }
 //
 //bsub:hotpath
 func (n *Node) Degree(now time.Duration) int {
-	d := 0
-	for peer, at := range n.meetings {
-		if now-at <= n.cfg.Window {
-			d++
-		} else {
-			delete(n.meetings, peer)
-		}
+	m := n.meetings
+	k := 0
+	for k < len(m) && now-m[k].at > n.cfg.Window {
+		k++
 	}
-	return d
+	if k > 0 {
+		n.meetings = m[:copy(m, m[k:])]
+	}
+	return len(n.meetings)
 }
 
 // countPeers counts distinct peers met within window without pruning, so
@@ -339,10 +358,8 @@ func (n *Node) Degree(now time.Duration) int {
 //bsub:hotpath
 func (n *Node) countPeers(now, window time.Duration) int {
 	d := 0
-	for _, at := range n.meetings {
-		if now-at <= window {
-			d++
-		}
+	for i := len(n.meetings) - 1; i >= 0 && now-n.meetings[i].at <= window; i-- {
+		d++
 	}
 	return d
 }
@@ -480,4 +497,10 @@ func (n *Node) ClearSentTo(peer NodeID) {
 	for _, e := range n.produced.entries {
 		delete(e.sent, peer)
 	}
+}
+
+// meeting is a peer's last meeting.
+type meeting struct {
+	peer NodeID
+	at   time.Duration
 }

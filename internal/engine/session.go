@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -53,7 +54,10 @@ type Forward struct {
 //
 // Each *Out step returns the Section VI-C wire encoding (charged to the
 // Budget; nil, nil when the budget refuses) and each consuming step
-// decodes it, so the two adapters exchange identical bytes. Claims remove
+// decodes it, so the two adapters exchange identical bytes. An adapter
+// holding both sessions in one process may run the relay steps through
+// HandRelays and HandAdvert instead, which hand the relay filter across
+// in memory with the same charges and the same resulting state. Claims remove
 // copies from the node's stores immediately; Commit settles them, Abort
 // (or Session.Abort after a severed contact) refunds them. Spent budget
 // is never refunded: a severed contact still transmitted the bytes.
@@ -61,9 +65,10 @@ type Forward struct {
 // A session owns a scratch arena — filters, encode buffers, candidate and
 // transfer lists, claim records — that Release returns to the node for the
 // next contact, so a warm BeginContact → … → Release cycle allocates
-// nothing. The arena implies an aliasing contract: bytes returned by an
-// *Out step are valid until the same step runs again on this session (or
-// the session is released), and the slices returned by ForwardCandidates,
+// nothing. The arena implies an aliasing contract: bytes returned by
+// RelayOut or RelayAdvertOut are valid until the same step runs again on
+// this session (or the session is released), those returned by
+// GenuineOut and InterestOut are immutable, and the slices returned by ForwardCandidates,
 // DeliveryMatches, and ReplicationMatches are valid until the same kind of
 // step runs again.
 type Session struct {
@@ -96,20 +101,19 @@ type Session struct {
 
 	// --- scratch arena, recycled across contacts by Release ---------------
 	// Filters are allocated lazily (a plain user's sessions never build the
-	// partitioned scratch); each *Out step owns a byte buffer, and decoded
-	// peer state lives in its own filter so one step cannot clobber state a
-	// later step still reads (SetPeerRelay's decode must survive until
-	// ForwardCandidates/MergeRelay, which may interleave with the pulls).
+	// partitioned scratch); each relay *Out step owns a byte buffer, and
+	// decoded peer state lives in its own filter so one step cannot
+	// clobber state a later step still reads (SetPeerRelay's decode must
+	// survive until ForwardCandidates/MergeRelay, which may interleave
+	// with the pulls).
 	peerRelayBuf filter.Filter // SetPeerRelay decode target
-	genuineBuf   filter.Filter // GenuineOut build / AbsorbGenuine decode
+	genuineBuf   filter.Filter // GenuineOut memo build / AbsorbGenuine decode
 	advertBuf    filter.Filter // ReplicationMatches decode target
-	interestBuf  *tcbf.Filter  // InterestOut build (protocol-fixed plain BF)
+	interestBuf  *tcbf.Filter  // InterestOut memo build (protocol-fixed plain BF)
 	deliveryBuf  *tcbf.Filter  // DeliveryMatches decode target
 
-	relayEnc    []byte
-	genuineEnc  []byte
-	interestEnc []byte
-	advertEnc   []byte
+	relayEnc  []byte
+	advertEnc []byte
 
 	cands     []Forward
 	transfers []Transfer
@@ -421,25 +425,54 @@ func (s *Session) ReceivesGenuine() bool { return s.selfBroker && !s.peerBroker 
 
 // GenuineOut encodes this node's genuine interest filter (counters at
 // the uniform initial value) for A-merge into the peer broker's relay
-// filter. Returns nil, nil when the budget refuses the transfer.
+// filter. Returns nil, nil when the budget refuses the transfer. The
+// encoding depends only on the subscriptions, so the node builds it once
+// per Subscribe; the returned bytes are never mutated afterwards.
 //
 //bsub:hotpath
 func (s *Session) GenuineOut() ([]byte, error) {
+	return s.interestWire(&s.n.genuineEnc, s.scratchRelay(&s.genuineBuf), tcbf.CountersUniform)
+}
+
+// interestFilter is what interestWire needs of the filter it builds an
+// encoding in: the backend's genuine filter or the plain interest BF.
+type interestFilter interface {
+	Reset(now time.Duration)
+	InsertAllPre(keys []tcbf.PreKey, now time.Duration) error
+	EncodeTo(dst []byte, mode tcbf.CounterMode) ([]byte, error)
+}
+
+// interestWire charges and returns the node's memoized interest encoding
+// in mode, building it in scratch filter f on first use.
+//
+//bsub:hotpath
+func (s *Session) interestWire(memo *[]byte, f interestFilter, mode tcbf.CounterMode) ([]byte, error) {
 	s.ratchet()
-	g := s.scratchRelay(&s.genuineBuf)
-	g.Reset(s.now)
-	if err := g.InsertAllPre(s.n.preInterests, s.now); err != nil {
-		return nil, err
+	data := *memo
+	if data == nil {
+		var err error
+		if data, err = s.buildInterestWire(f, mode); err != nil {
+			return nil, err
+		}
+		*memo = data
 	}
-	data, err := g.EncodeTo(s.genuineEnc[:0], tcbf.CountersUniform)
-	if err != nil {
-		return nil, err
-	}
-	s.genuineEnc = data
 	if !s.budget.Spend(len(data)) {
 		return nil, nil
 	}
 	return data, nil
+}
+
+// buildInterestWire encodes the node's interests in f into a fresh slice:
+// one already handed out must never change under a session still sending
+// it.
+//
+//bsub:coldpath
+func (s *Session) buildInterestWire(f interestFilter, mode tcbf.CounterMode) ([]byte, error) {
+	f.Reset(s.now)
+	if err := f.InsertAllPre(s.n.preInterests, s.now); err != nil {
+		return nil, err
+	}
+	return f.EncodeTo(nil, mode)
 }
 
 // AbsorbGenuine A-merges a peer consumer's genuine filter into the relay
@@ -468,22 +501,7 @@ func (s *Session) AbsorbGenuine(data []byte) error {
 //
 //bsub:hotpath
 func (s *Session) RelayOut() ([]byte, error) {
-	s.ratchet()
-	if s.relay == nil {
-		return nil, nil
-	}
-	if err := s.relay.Advance(s.now); err != nil {
-		return nil, err
-	}
-	data, err := s.relay.EncodeTo(s.relayEnc[:0], tcbf.CountersFull)
-	if err != nil {
-		return nil, err
-	}
-	s.relayEnc = data
-	if !s.budget.Spend(len(data)) {
-		return nil, nil
-	}
-	return data, nil
+	return s.relayOut(tcbf.CountersFull, &s.relayEnc)
 }
 
 // SetPeerRelay ingests the peer broker's encoded relay filter — its
@@ -573,25 +591,11 @@ func (s *Session) MergeRelay() error {
 // InterestOut encodes this node's interests as a counter-less Bloom
 // filter ("the consumer reports its interests in a BF (not TCBF)") to
 // pull deliveries from the peer. Returns nil, nil when the budget
-// refuses.
+// refuses. Like GenuineOut, the encoding is built once per Subscribe.
 //
 //bsub:hotpath
 func (s *Session) InterestOut() ([]byte, error) {
-	s.ratchet()
-	f := s.scratchFilter(&s.interestBuf)
-	f.Reset(s.now)
-	if err := f.InsertAllPre(s.n.preInterests, s.now); err != nil {
-		return nil, err
-	}
-	data, err := f.EncodeTo(s.interestEnc[:0], tcbf.CountersNone)
-	if err != nil {
-		return nil, err
-	}
-	s.interestEnc = data
-	if !s.budget.Spend(len(data)) {
-		return nil, nil
-	}
-	return data, nil
+	return s.interestWire(&s.n.interestEnc, s.scratchFilter(&s.interestBuf), tcbf.CountersNone)
 }
 
 // DeliveryMatches decodes the peer's interest BF and returns the messages
@@ -602,11 +606,20 @@ func (s *Session) InterestOut() ([]byte, error) {
 //
 //bsub:hotpath
 func (s *Session) DeliveryMatches(data []byte) ([]Transfer, error) {
+	return s.deliveryMatches(data, false)
+}
+
+// deliveryMatches is DeliveryMatches; trusted marks bytes the engine
+// itself encoded, which need no validation, so a node holding no
+// messages skips decoding them.
+//
+//bsub:hotpath
+func (s *Session) deliveryMatches(data []byte, trusted bool) ([]Transfer, error) {
 	s.ratchet()
 	if !s.peerSet {
 		return nil, fmt.Errorf("engine: delivery matches before peer hello")
 	}
-	if len(data) == 0 {
+	if len(data) == 0 || trusted && s.n.produced.len() == 0 && s.n.carried.len() == 0 {
 		return nil, nil
 	}
 	f := s.scratchFilter(&s.deliveryBuf)
@@ -651,22 +664,38 @@ func (s *Session) DeliveryMatches(data []byte) ([]Transfer, error) {
 //
 //bsub:hotpath
 func (s *Session) RelayAdvertOut() ([]byte, error) {
-	s.ratchet()
-	if s.relay == nil {
-		return nil, nil
-	}
-	if err := s.relay.Advance(s.now); err != nil {
+	return s.relayOut(tcbf.CountersNone, &s.advertEnc)
+}
+
+// relayOut advances the relay filter, encodes it in mode into *enc, and
+// charges the encoding: RelayOut and RelayAdvertOut.
+//
+//bsub:hotpath
+func (s *Session) relayOut(mode tcbf.CounterMode, enc *[]byte) ([]byte, error) {
+	if err := s.advanceRelay(); err != nil || s.relay == nil {
 		return nil, err
 	}
-	data, err := s.relay.EncodeTo(s.advertEnc[:0], tcbf.CountersNone)
+	data, err := s.relay.EncodeTo((*enc)[:0], mode)
 	if err != nil {
 		return nil, err
 	}
-	s.advertEnc = data
+	*enc = data
 	if !s.budget.Spend(len(data)) {
 		return nil, nil
 	}
 	return data, nil
+}
+
+// advanceRelay opens every relay *Out step: ratchet, then settle the relay
+// filter's decay (a no-op without a relay).
+//
+//bsub:hotpath
+func (s *Session) advanceRelay() error {
+	s.ratchet()
+	if s.relay == nil {
+		return nil
+	}
+	return s.relay.Advance(s.now)
 }
 
 // ReplicationMatches decodes the peer broker's relay advert and returns
@@ -674,15 +703,30 @@ func (s *Session) RelayAdvertOut() ([]byte, error) {
 //
 //bsub:hotpath
 func (s *Session) ReplicationMatches(data []byte) ([]Transfer, error) {
+	return s.replicationMatches(data, nil)
+}
+
+// replicationMatches is ReplicationMatches for an advert given as bytes
+// or, in process, as the peer's relay filter src — which is copied only
+// when this node holds messages to match against it.
+//
+//bsub:hotpath
+func (s *Session) replicationMatches(data []byte, src filter.Quantizer) ([]Transfer, error) {
 	s.ratchet()
 	if !s.peerSet {
 		return nil, fmt.Errorf("engine: replication matches before peer hello")
 	}
-	if len(data) == 0 {
+	if src == nil && len(data) == 0 || src != nil && s.n.produced.len() == 0 {
 		return nil, nil
 	}
 	adv := s.scratchRelay(&s.advertBuf)
-	if err := adv.DecodeInto(data, s.now); err != nil {
+	var err error
+	if src != nil {
+		_, err = src.QuantizeCopy(adv, tcbf.CountersNone, s.now)
+	} else {
+		err = adv.DecodeInto(data, s.now)
+	}
+	if err != nil {
 		return nil, err
 	}
 	out := s.transfers[:0]
@@ -700,6 +744,115 @@ func (s *Session) ReplicationMatches(data []byte) ([]Transfer, error) {
 	}
 	s.transfers = out
 	return out, nil
+}
+
+// --- In-process hand-off --------------------------------------------------
+
+// An adapter running both sessions of a contact in one process (the
+// simulator) need not encode a filter only for the peer to decode it at
+// once. The Hand* steps below replace an *Out step and its consuming step
+// with the same budget charges, in the same order, and the same resulting
+// state, as the two steps would leave; they move relay filters in memory
+// when the backend is a filter.Quantizer and fall back to the bytes
+// otherwise. Each returns sent, the wire bytes charged — zero when the
+// sending side sent nothing (no relay, or its budget refused) — and a
+// non-nil error with a non-zero sent comes from the consuming side.
+
+// quantizer returns the relay filter as a filter.Quantizer when a hand-off
+// to the scratch filter dst can skip the bytes (both are Quantizers), or
+// nil.
+//
+//bsub:hotpath
+func (s *Session) quantizer(dst filter.Filter) filter.Quantizer {
+	q, ok := s.relay.(filter.Quantizer)
+	if _, dstOK := dst.(filter.Quantizer); !ok || !dstOK {
+		return nil
+	}
+	return q
+}
+
+// HandRelays is a.RelayOut, b.RelayOut, a.SetPeerRelay, b.SetPeerRelay
+// for a broker-broker contact, with sent the bytes of both encodings or
+// zero when either side sent nothing.
+//
+//bsub:hotpath
+func HandRelays(a, b *Session) (sent int, err error) {
+	qa := a.quantizer(b.scratchRelay(&b.peerRelayBuf))
+	qb := b.quantizer(a.scratchRelay(&a.peerRelayBuf))
+	if qa == nil || qb == nil {
+		dataA, errA := a.RelayOut()
+		dataB, errB := b.RelayOut()
+		if errA != nil || errB != nil || dataA == nil || dataB == nil {
+			return 0, errors.Join(errA, errB)
+		}
+		sent = len(dataA) + len(dataB)
+		if err := a.SetPeerRelay(dataB); err != nil {
+			return sent, err
+		}
+		return sent, b.SetPeerRelay(dataA)
+	}
+	na, errA := a.handRelay(qa, b)
+	nb, errB := b.handRelay(qb, a)
+	if errA != nil || errB != nil || na == 0 || nb == 0 {
+		return 0, errors.Join(errA, errB)
+	}
+	a.peerRelay, b.peerRelay = a.peerRelayBuf, b.peerRelayBuf
+	return na + nb, nil
+}
+
+// handRelay is RelayOut fused with the peer's decode: the relay filter q
+// is quantize-copied straight into to's peer-relay scratch (pinned by
+// HandRelays once both sides have sent) and its encoded length charged.
+//
+//bsub:hotpath
+func (s *Session) handRelay(q filter.Quantizer, to *Session) (int, error) {
+	if err := s.advanceRelay(); err != nil {
+		return 0, err
+	}
+	to.ratchet()
+	n, err := q.QuantizeCopy(to.peerRelayBuf, tcbf.CountersFull, to.now)
+	if err != nil || !s.budget.Spend(n) {
+		return 0, err
+	}
+	return n, nil
+}
+
+// HandAdvert is asker.RelayAdvertOut then server.ReplicationMatches.
+//
+//bsub:hotpath
+func HandAdvert(asker, server *Session) (sent int, matches []Transfer, err error) {
+	q := asker.quantizer(server.scratchRelay(&server.advertBuf))
+	if q == nil {
+		data, err := asker.RelayAdvertOut()
+		if err != nil || data == nil {
+			return 0, nil, err
+		}
+		matches, err = server.ReplicationMatches(data)
+		return len(data), matches, err
+	}
+	if err := asker.advanceRelay(); err != nil {
+		return 0, nil, err
+	}
+	n, err := q.WireSize(tcbf.CountersNone)
+	if err != nil || !asker.budget.Spend(n) {
+		return 0, nil, err
+	}
+	matches, err = server.replicationMatches(nil, q)
+	return n, matches, err
+}
+
+// HandInterest is asker.InterestOut then server.DeliveryMatches. The
+// interest filter is the asker's memoized encoding, so a server holding
+// no messages skips decoding it.
+//
+//bsub:hotpath
+func HandInterest(asker, server *Session) (sent int, matches []Transfer, err error) {
+	data, err := asker.InterestOut()
+	if err != nil || data == nil {
+		return 0, nil, err
+	}
+	matches, err = server.deliveryMatches(data, true)
+	return len(data), matches, err
 }
 
 // --- Claims ---------------------------------------------------------------

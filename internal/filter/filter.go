@@ -91,6 +91,24 @@ type Filter interface {
 	EstimatedFPR() float64
 }
 
+// Quantizer is an optional Filter capability for adapters whose two
+// contact sides share an address space (the simulator). Such an adapter
+// would otherwise encode a filter only for the peer to decode it at once;
+// a Quantizer hands the decoded state across directly. The live node
+// keeps the byte path, so the sim/live parity test is the differential
+// between the two.
+type Quantizer interface {
+	// WireSize returns len(EncodeTo(nil, mode)) without encoding, failing
+	// exactly when EncodeTo would.
+	WireSize(mode tcbf.CounterMode) (int, error)
+	// QuantizeCopy leaves dst in exactly the state
+	// dst.DecodeInto(EncodeTo(nil, mode), now) would, without writing the
+	// bytes, and returns the encoding's length. dst must come from the
+	// same backend; on error it is unspecified and must be Reset before
+	// reuse.
+	QuantizeCopy(dst Filter, mode tcbf.CounterMode, now time.Duration) (int, error)
+}
+
 // Laws declares which contract properties a backend keeps and which it
 // deliberately relaxes. The conformance suite reads these to decide what
 // to assert: every backend is run against the same differential model,

@@ -7,7 +7,7 @@ import (
 )
 
 // Packed is the default backend: the paper's partitioned packed-counter
-// TCBF, unchanged. Its Filter is a thin wrapper around *tcbf.Partitioned
+// TCBF, unchanged. Its Filter is a thin wrapper around tcbf.Partitioned
 // — every method either promotes the already-annotated hot-path method
 // or devirtualizes the peer with a pointer type assertion, so the seam
 // adds no allocations and no measurable dispatch cost to the contact
@@ -43,7 +43,7 @@ func (Packed) New(cfg tcbf.Config, partitions int, now time.Duration) (Filter, e
 	if err != nil {
 		return nil, err
 	}
-	return &packedFilter{p}, nil
+	return &packedFilter{*p}, nil
 }
 
 // validatePartitions mirrors tcbf.NewPartitioned's range check so a bad
@@ -56,13 +56,16 @@ func validatePartitions(partitions int) error {
 	return nil
 }
 
-// packedFilter adapts *tcbf.Partitioned to the Filter interface. The
-// embedded pointer promotes every same-signature method; only the
-// operations whose contract mentions another Filter (merge, preference)
-// need devirtualizing overrides.
+// packedFilter adapts tcbf.Partitioned to the Filter interface. The
+// embedded value (one pointer hop fewer to the counters than a pointer
+// would be) promotes every same-signature method; only the
+// operations whose contract mentions another Filter (merge, preference,
+// quantize-copy) need devirtualizing overrides.
 type packedFilter struct {
-	*tcbf.Partitioned
+	tcbf.Partitioned
 }
+
+var _ Quantizer = (*packedFilter)(nil)
 
 // AMerge implements Filter.
 //
@@ -72,7 +75,7 @@ func (p *packedFilter) AMerge(other Filter, now time.Duration) error {
 	if !ok {
 		return errPeerBackend("tcbf", other)
 	}
-	return p.Partitioned.AMerge(o.Partitioned, now)
+	return p.Partitioned.AMerge(&o.Partitioned, now)
 }
 
 // MMerge implements Filter.
@@ -83,7 +86,7 @@ func (p *packedFilter) MMerge(other Filter, now time.Duration) error {
 	if !ok {
 		return errPeerBackend("tcbf", other)
 	}
-	return p.Partitioned.MMerge(o.Partitioned, now)
+	return p.Partitioned.MMerge(&o.Partitioned, now)
 }
 
 // PreferencePre implements Filter with the receiver as self.
@@ -94,5 +97,17 @@ func (p *packedFilter) PreferencePre(k tcbf.PreKey, peer Filter, now time.Durati
 	if !ok {
 		return 0, errPeerBackend("tcbf", peer)
 	}
-	return tcbf.PreferencePartitionedPre(k, o.Partitioned, p.Partitioned, now)
+	return tcbf.PreferencePartitionedPre(k, &o.Partitioned, &p.Partitioned, now)
+}
+
+// QuantizeCopy implements Quantizer; WireSize is promoted from
+// tcbf.Partitioned.
+//
+//bsub:hotpath
+func (p *packedFilter) QuantizeCopy(dst Filter, mode tcbf.CounterMode, now time.Duration) (int, error) {
+	o, ok := dst.(*packedFilter)
+	if !ok {
+		return 0, errPeerBackend("tcbf", dst)
+	}
+	return p.Partitioned.QuantizeCopyTo(&o.Partitioned, mode, now)
 }

@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"bsub/internal/core"
 	"bsub/internal/engine"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
@@ -44,13 +43,13 @@ const (
 	DefaultDialTimeout = 5 * time.Second
 )
 
-// Config parameterizes a live node. The protocol parameters reuse
-// core.Config (the paper's Section V/VII values via core.DefaultConfig).
+// Config parameterizes a live node. The protocol parameters are the
+// engine's (the paper's Section V/VII values via engine.DefaultConfig).
 type Config struct {
 	// ID must be unique across the mesh.
 	ID uint32
 	// Protocol holds the B-SUB parameters.
-	Protocol core.Config
+	Protocol engine.Config
 	// TTL is the message lifetime.
 	TTL time.Duration
 	// Clock returns the current time as an offset on a basis shared by
@@ -370,12 +369,14 @@ func (n *Node) handleInbound(conn net.Conn) {
 	select {
 	case n.sessions <- struct{}{}:
 	default:
-		_ = writeFrame(conn, frameBusy, nil)
+		// Count the refusal before the dialer can see it: a caller that
+		// reads Stats once its Meet returned ErrPeerBusy must find it.
 		n.sessionEnded(SessionStats{
 			Phase:   PhaseConnect,
 			Outcome: OutcomeRefusedBusy,
 			Err:     ErrBusy,
 		}, false)
+		_ = writeFrame(conn, frameBusy, nil)
 		// Drain the dialer's next bytes before closing: closing with
 		// unread inbound data resets the connection, which can destroy
 		// the BUSY frame before the peer reads it.

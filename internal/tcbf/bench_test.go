@@ -107,3 +107,32 @@ func BenchmarkPartitionedEncodeTo(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQuantizeCopy is the fused counterpart of BenchmarkEncodeTo
+// plus BenchmarkDecodeInto: the same filter handed to a scratch filter in
+// memory, with the decoded state the wire would give.
+func BenchmarkQuantizeCopy(b *testing.B) {
+	f := benchFilter(b, 32)
+	if err := f.Advance(90 * time.Second); err != nil { // non-trivial counters
+		b.Fatal(err)
+	}
+	dst := MustNew(f.Config(), 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.QuantizeCopyTo(dst, CountersFull, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWireSize(b *testing.B) {
+	f := benchFilter(b, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.WireSize(CountersNone); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -71,45 +71,12 @@ func (f *Filter) Encode(mode CounterMode) ([]byte, error) {
 //
 //bsub:hotpath
 func (f *Filter) EncodeTo(dst []byte, mode CounterMode) ([]byte, error) {
-	if mode < CountersNone || mode > CountersFull {
-		return nil, fmt.Errorf("tcbf: unknown counter mode %d", mode)
+	st := f.scanWire()
+	if err := checkMode(st, mode); err != nil {
+		return nil, err
 	}
-	// One word-parallel scan for the set-bit count, the maximum counter,
-	// and uniformity, with pending decay applied on the fly: popcount of
-	// the lane flags counts set bits, a running maxWord accumulates the
-	// per-lane maximum, and uniformity is a whole-word compare against the
-	// first value broadcast into every non-zero lane.
+	nSet, maxT := st.nSet, st.maxT
 	pend := bcast(f.pendingTicks)
-	nSet := 0
-	var accMax, firstW uint64
-	uniformT := true
-	for _, w := range f.words {
-		if w == 0 {
-			continue
-		}
-		e := satSubWord(w, pend)
-		nz := nzLanes(e)
-		if nz == 0 {
-			continue
-		}
-		nSet += bits.OnesCount64(nz)
-		accMax = maxWord(accMax, e)
-		if firstW == 0 {
-			firstW = bcast(uint32(e>>uint(bits.TrailingZeros64(nz))) & laneMask)
-		}
-		if uniformT && e != firstW&(nz*laneMask) {
-			uniformT = false
-		}
-	}
-	maxT := uint32(accMax) & laneMask
-	for s := laneBits; s < 64; s += laneBits {
-		if v := uint32(accMax>>s) & laneMask; v > maxT {
-			maxT = v
-		}
-	}
-	if mode == CountersUniform && !uniformT {
-		return nil, fmt.Errorf("%w: %d set counters span multiple values", ErrNotUniform, nSet)
-	}
 
 	locBits := bitsFor(f.M())
 	useBitmap := nSet*locBits >= f.M()
@@ -183,6 +150,103 @@ func (f *Filter) EncodeTo(dst []byte, mode CounterMode) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// wireStats is what the encoder learns from one pass over the counters:
+// the set-bit count, the maximum counter in ticks, and whether every set
+// counter holds the same value.
+type wireStats struct {
+	nSet    int
+	maxT    uint32
+	uniform bool
+}
+
+// scanWire is the encoder's word-parallel stats pass, with pending decay
+// applied on the fly: popcount of the lane flags counts set bits, a
+// running maxWord accumulates the per-lane maximum, and uniformity is a
+// whole-word compare against the first value broadcast into every
+// non-zero lane.
+//
+//bsub:hotpath
+func (f *Filter) scanWire() wireStats {
+	// Branch-free: an all-zero word (or one that decays to zero) adds no
+	// set bits, leaves the maximum alone, and compares equal. Words go in
+	// pairs so that the running maximum's dependency chain is half as long.
+	pend := bcast(f.pendingTicks)
+	nSet := 0
+	var accMax, firstW, diff uint64
+	ws := f.words
+	for i := 0; i < len(ws); i += 2 {
+		e0 := satSubWord(ws[i], pend)
+		var e1 uint64
+		if i+1 < len(ws) {
+			e1 = satSubWord(ws[i+1], pend)
+		}
+		nz0, nz1 := nzLanes(e0), nzLanes(e1)
+		nSet += bits.OnesCount64(nz0) + bits.OnesCount64(nz1)
+		accMax = maxWord(accMax, maxWord(e0, e1))
+		if firstW == 0 && nz0|nz1 != 0 {
+			e, nz := e0, nz0
+			if nz0 == 0 {
+				e, nz = e1, nz1
+			}
+			firstW = bcast(uint32(e>>uint(bits.TrailingZeros64(nz))) & laneMask)
+		}
+		diff |= e0 ^ firstW&(nz0*laneMask) | e1 ^ firstW&(nz1*laneMask)
+	}
+	maxT := uint32(accMax) & laneMask
+	for s := laneBits; s < 64; s += laneBits {
+		if v := uint32(accMax>>s) & laneMask; v > maxT {
+			maxT = v
+		}
+	}
+	return wireStats{nSet: nSet, maxT: maxT, uniform: diff == 0}
+}
+
+// statsFor is the stats pass a mode needs: CountersNone carries no
+// counters, so only the set-bit count matters.
+//
+//bsub:hotpath
+func (f *Filter) statsFor(mode CounterMode) wireStats {
+	if mode == CountersNone {
+		return wireStats{nSet: f.SetBits(), uniform: true}
+	}
+	return f.scanWire()
+}
+
+// wireLen returns the length of the encoding EncodeTo writes for a filter
+// with stats st in a valid mode: the 11-byte header, the location list
+// or bitmap, and the counters the mode carries.
+//
+//bsub:hotpath
+func (f *Filter) wireLen(st wireStats, mode CounterMode) int {
+	n := 11
+	if locBits := bitsFor(f.M()); st.nSet*locBits >= f.M() {
+		n += (f.M() + 7) / 8
+	} else {
+		n += (st.nSet*locBits + 7) / 8
+	}
+	switch mode {
+	case CountersUniform:
+		n += 8
+	case CountersFull:
+		n += 8 + st.nSet
+	}
+	return n
+}
+
+// checkMode reports the error EncodeTo returns for mode on a filter with
+// stats st, or nil.
+//
+//bsub:hotpath
+func checkMode(st wireStats, mode CounterMode) error {
+	if mode < CountersNone || mode > CountersFull {
+		return fmt.Errorf("tcbf: unknown counter mode %d", mode)
+	}
+	if mode == CountersUniform && !st.uniform {
+		return fmt.Errorf("%w: %d set counters span multiple values", ErrNotUniform, st.nSet)
+	}
+	return nil
 }
 
 // wireHeader is the parsed fixed-size prefix of a filter encoding.
@@ -384,14 +448,94 @@ func (f *Filter) decodeBody(h wireHeader) error {
 }
 
 // WireSize returns the number of bytes Encode would produce in the given
-// mode; it is what the simulator charges against a contact's bandwidth
-// budget.
+// mode — what the simulator charges against a contact's bandwidth budget —
+// computed from the encoder's stats pass alone, without encoding. It
+// fails exactly when Encode would.
+//
+//bsub:hotpath
 func (f *Filter) WireSize(mode CounterMode) (int, error) {
-	b, err := f.Encode(mode)
-	if err != nil {
+	st := f.statsFor(mode)
+	if err := checkMode(st, mode); err != nil {
 		return 0, err
 	}
-	return len(b), nil
+	return f.wireLen(st, mode), nil
+}
+
+// QuantizeCopyTo leaves dst in exactly the state
+// dst.DecodeInto(f.EncodeTo(nil, mode), now) would: the same counter
+// words (quantized and re-scaled as the wire does), clock at now, no
+// pending decay, and marked merged. It returns the encoding's length but
+// writes no bytes, which is what lets an adapter whose two contact sides
+// share an address space skip the wire encoding while the receiver still
+// sees the wire's 1-byte quantization. It fails when Encode would, or
+// when dst's geometry differs from f's (as DecodeInto would); on error
+// dst is unspecified and must be Reset before reuse. dst must not be f.
+//
+//bsub:hotpath
+func (f *Filter) QuantizeCopyTo(dst *Filter, mode CounterMode, now time.Duration) (int, error) {
+	st := f.statsFor(mode)
+	if err := f.quantizeCopy(dst, st, mode, now); err != nil {
+		return 0, err
+	}
+	return f.wireLen(st, mode), nil
+}
+
+// quantizeCopy is QuantizeCopyTo given f's stats pass st.
+//
+//bsub:hotpath
+func (f *Filter) quantizeCopy(dst *Filter, st wireStats, mode CounterMode, now time.Duration) error {
+	if err := checkMode(st, mode); err != nil {
+		return err
+	}
+	if dst.M() != f.M() || dst.K() != f.K() {
+		return fmt.Errorf("%w: (%d,%d) vs (%d,%d)", ErrGeometry, f.M(), f.K(), dst.M(), dst.K())
+	}
+	dst.Reset(now)
+	dst.merged = true
+	if st.nSet == 0 {
+		return nil
+	}
+	pend := bcast(f.pendingTicks)
+	switch mode {
+	case CountersNone, CountersUniform:
+		// Every set lane decodes to one tick value: write it into all of a
+		// word's set lanes at once.
+		t := uint64(initTicks)
+		if mode == CountersUniform {
+			t = uint64(dst.tickFromValue(float64(st.maxT) * f.quantum))
+		}
+		for i, w := range f.words {
+			if w != 0 {
+				dst.words[i] = nzLanes(satSubWord(w, pend)) * t
+			}
+		}
+	case CountersFull:
+		// The encoder's byte per lane, then the decoder's re-scale, with the
+		// same float operations in the same order as the two halves of the
+		// wire path. A filter's lanes share few distinct values, so a small
+		// direct-mapped memo of value → tick skips most of the float work.
+		qs := 255.0 / float64(st.maxT)
+		scale := float64(st.maxT) * f.quantum / 255 * dst.invQuantum
+		var memo [32]struct{ v, t uint32 } // v == 0: empty (set lanes are >= 1)
+		for i, w := range f.words {
+			if w == 0 {
+				continue
+			}
+			e := satSubWord(w, pend)
+			var out uint64
+			for nz := nzLanes(e); nz != 0; nz &= nz - 1 {
+				sh := uint(bits.TrailingZeros64(nz))
+				v := uint32(e>>sh) & laneMask
+				m := &memo[v&31]
+				if m.v != v {
+					m.v, m.t = v, tickFromScaled(quantizeTick(v, qs), scale)
+				}
+				out |= uint64(m.t) << sh
+			}
+			dst.words[i] = out
+		}
+	}
+	return nil
 }
 
 // PaperWireBits returns the Section VI-C analytic size, in bits, of a

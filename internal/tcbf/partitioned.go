@@ -19,7 +19,7 @@ import (
 // per-partition geometry and the partition count, which a protocol fixes
 // globally (like m and k).
 type Partitioned struct {
-	parts []*Filter
+	parts []Filter // by value: one pointer hop fewer to the counters
 	cfg   Config
 }
 
@@ -28,13 +28,13 @@ func NewPartitioned(cfg Config, h int, now time.Duration) (*Partitioned, error) 
 	if h < 1 || h > 255 {
 		return nil, fmt.Errorf("tcbf: partition count must be in [1,255], got %d", h)
 	}
-	parts := make([]*Filter, h)
+	parts := make([]Filter, h)
 	for i := range parts {
 		f, err := New(cfg, now)
 		if err != nil {
 			return nil, err
 		}
-		parts[i] = f
+		parts[i] = *f
 	}
 	return &Partitioned{parts: parts, cfg: cfg}, nil
 }
@@ -191,7 +191,8 @@ func (p *Partitioned) MinCounterPre(k PreKey, now time.Duration) (float64, error
 //
 //bsub:hotpath
 func (p *Partitioned) Advance(now time.Duration) error {
-	for _, f := range p.parts {
+	for i := range p.parts {
+		f := &p.parts[i]
 		if err := f.Advance(now); err != nil {
 			return err
 		}
@@ -203,7 +204,8 @@ func (p *Partitioned) Advance(now time.Duration) error {
 //
 //bsub:hotpath
 func (p *Partitioned) SetDecayFactor(perMinute float64, now time.Duration) error {
-	for _, f := range p.parts {
+	for i := range p.parts {
+		f := &p.parts[i]
 		if err := f.SetDecayFactor(perMinute, now); err != nil {
 			return err
 		}
@@ -231,8 +233,9 @@ func (p *Partitioned) AMerge(other *Partitioned, now time.Duration) error {
 	if err := p.checkCompatible(other); err != nil {
 		return err
 	}
-	for i, f := range p.parts {
-		if err := f.AMerge(other.parts[i], now); err != nil {
+	for i := range p.parts {
+		f := &p.parts[i]
+		if err := f.AMerge(&other.parts[i], now); err != nil {
 			return err
 		}
 	}
@@ -246,8 +249,9 @@ func (p *Partitioned) MMerge(other *Partitioned, now time.Duration) error {
 	if err := p.checkCompatible(other); err != nil {
 		return err
 	}
-	for i, f := range p.parts {
-		if err := f.MMerge(other.parts[i], now); err != nil {
+	for i := range p.parts {
+		f := &p.parts[i]
+		if err := f.MMerge(&other.parts[i], now); err != nil {
 			return err
 		}
 	}
@@ -261,7 +265,7 @@ func PreferencePartitioned(key string, peer, self *Partitioned, now time.Duratio
 		return 0, err
 	}
 	i := self.route(key)
-	return Preference(key, peer.parts[i], self.parts[i], now)
+	return Preference(key, &peer.parts[i], &self.parts[i], now)
 }
 
 // PreferencePartitionedPre is PreferencePartitioned for a precomputed key.
@@ -272,7 +276,7 @@ func PreferencePartitionedPre(k PreKey, peer, self *Partitioned, now time.Durati
 		return 0, err
 	}
 	i := self.routePre(k)
-	return PreferencePre(k, peer.parts[i], self.parts[i], now)
+	return PreferencePre(k, &peer.parts[i], &self.parts[i], now)
 }
 
 // Retouch applies Filter.Retouch to every partition with the same fill
@@ -280,7 +284,8 @@ func PreferencePartitionedPre(k PreKey, peer, self *Partitioned, now time.Durati
 // joint false-negative cutoff across partitions.
 func (p *Partitioned) Retouch(maxFill float64, now time.Duration) (float64, error) {
 	cutoff := 0.0
-	for _, f := range p.parts {
+	for i := range p.parts {
+		f := &p.parts[i]
 		c, err := f.Retouch(maxFill, now)
 		if err != nil {
 			return cutoff, err
@@ -298,16 +303,17 @@ func (p *Partitioned) Retouch(maxFill float64, now time.Duration) (float64, erro
 //
 //bsub:hotpath
 func (p *Partitioned) Reset(now time.Duration) {
-	for _, f := range p.parts {
+	for i := range p.parts {
+		f := &p.parts[i]
 		f.Reset(now)
 	}
 }
 
 // Clone returns a deep copy.
 func (p *Partitioned) Clone() *Partitioned {
-	parts := make([]*Filter, len(p.parts))
-	for i, f := range p.parts {
-		parts[i] = f.Clone()
+	parts := make([]Filter, len(p.parts))
+	for i := range p.parts {
+		parts[i] = *p.parts[i].Clone()
 	}
 	return &Partitioned{parts: parts, cfg: p.cfg}
 }
@@ -317,7 +323,8 @@ func (p *Partitioned) Clone() *Partitioned {
 //bsub:hotpath
 func (p *Partitioned) SetBits() int {
 	total := 0
-	for _, f := range p.parts {
+	for i := range p.parts {
+		f := &p.parts[i]
 		total += f.SetBits()
 	}
 	return total
@@ -331,7 +338,8 @@ func (p *Partitioned) SetBits() int {
 //bsub:hotpath
 func (p *Partitioned) EstimatedFPR() float64 {
 	sum := 0.0
-	for _, f := range p.parts {
+	for i := range p.parts {
+		f := &p.parts[i]
 		sum += f.EstimatedFPR()
 	}
 	return sum / float64(len(p.parts))
@@ -351,7 +359,8 @@ func (p *Partitioned) Encode(mode CounterMode) ([]byte, error) {
 //bsub:hotpath
 func (p *Partitioned) EncodeTo(dst []byte, mode CounterMode) ([]byte, error) {
 	dst = append(dst, wireMagic^0x0F, byte(len(p.parts)))
-	for _, f := range p.parts {
+	for i := range p.parts {
+		f := &p.parts[i]
 		if f.SetBits() == 0 {
 			dst = binary.BigEndian.AppendUint32(dst, 0)
 			continue
@@ -370,13 +379,56 @@ func (p *Partitioned) EncodeTo(dst []byte, mode CounterMode) ([]byte, error) {
 	return dst, nil
 }
 
-// WireSize returns the encoded size in bytes.
+// WireSize returns the encoded size in bytes from each partition's stats
+// pass alone, without encoding; it fails exactly when Encode would.
+//
+//bsub:hotpath
 func (p *Partitioned) WireSize(mode CounterMode) (int, error) {
-	b, err := p.Encode(mode)
-	if err != nil {
-		return 0, err
+	n := 2
+	for i := range p.parts {
+		f := &p.parts[i]
+		n += 4
+		st := f.statsFor(mode)
+		if st.nSet == 0 {
+			continue // sent as a zero length
+		}
+		if err := checkMode(st, mode); err != nil {
+			return 0, err
+		}
+		n += f.wireLen(st, mode)
 	}
-	return len(b), nil
+	return n, nil
+}
+
+// QuantizeCopyTo leaves dst in exactly the state
+// dst.DecodeInto(p.EncodeTo(nil, mode), now) would — partition by
+// partition, empty partitions included — and returns the encoding's
+// length without writing it; see Filter.QuantizeCopyTo. The partition
+// counts and per-partition geometry must match. On error dst is
+// unspecified and must be Reset before reuse. dst must not be p.
+//
+//bsub:hotpath
+func (p *Partitioned) QuantizeCopyTo(dst *Partitioned, mode CounterMode, now time.Duration) (int, error) {
+	if len(dst.parts) != len(p.parts) {
+		return 0, fmt.Errorf("%w: %d vs %d partitions", ErrGeometry, len(p.parts), len(dst.parts))
+	}
+	n := 2
+	for i := range p.parts {
+		f := &p.parts[i]
+		n += 4
+		st := f.statsFor(mode)
+		if st.nSet == 0 {
+			// Sent as a zero length: decoded as an empty, merged partition.
+			dst.parts[i].Reset(now)
+			dst.parts[i].merged = true
+			continue
+		}
+		if err := f.quantizeCopy(&dst.parts[i], st, mode, now); err != nil {
+			return 0, err
+		}
+		n += f.wireLen(st, mode)
+	}
+	return n, nil
 }
 
 // DecodePartitioned reconstructs a partitioned filter; cfg supplies the
@@ -445,7 +497,11 @@ func DecodePartitioned(data []byte, cfg Config, now time.Duration) (*Partitioned
 		nf.merged = true
 		parts[i] = nf
 	}
-	return &Partitioned{parts: parts, cfg: cfg}, nil
+	out := &Partitioned{parts: make([]Filter, h), cfg: cfg}
+	for i, f := range parts {
+		out.parts[i] = *f
+	}
+	return out, nil
 }
 
 // DecodeInto reconstructs a partitioned filter from data in place, reusing
@@ -470,7 +526,8 @@ func (p *Partitioned) DecodeInto(data []byte, now time.Duration) error {
 		return fmt.Errorf("%w: wire has %d partitions, filter has %d", ErrCorrupt, h, len(p.parts))
 	}
 	rest := data[2:]
-	for _, f := range p.parts {
+	for i := range p.parts {
+		f := &p.parts[i]
 		if len(rest) < 4 {
 			return fmt.Errorf("%w: truncated partition length", ErrCorrupt)
 		}

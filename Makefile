@@ -112,11 +112,13 @@ golden:
 	$(GO) test -count=1 -run TestGoldenCSVs ./cmd/experiments
 	$(GO) test -count=1 -run TestBackendAblationGolden ./internal/experiments
 
-# bench-smoke runs the contact benchmark a handful of iterations so a PR
-# that breaks the benchmark harness (or its zero-alloc assumptions, see
-# TestContactAllocationFree) fails the gate without a full bench run.
+# bench-smoke runs the engine contact and live-session benchmarks a
+# handful of iterations so a PR that breaks the benchmark harness (or its
+# zero-alloc assumptions, see TestContactAllocationFree) fails the gate
+# without a full bench run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkEngineContact -benchtime 10x ./internal/engine
+	$(GO) test -run '^$$' -bench BenchmarkLiveSession -benchtime 10x ./internal/livenode
 
 # determinism is the quick-mode sharded-runner gate: the same seeded scale
 # config must produce byte-identical reports at workers=1 and workers=8,
@@ -159,13 +161,14 @@ check: vet vet-shadow lint lint-fast determinism race parity chaos chaos-mesh fu
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-json captures the hot-path benchmarks plus end-to-end simulator
+# bench-json captures the hot-path benchmarks (the live contact session
+# included, over net.Pipe and loopback TCP) plus end-to-end simulator
 # throughput (contacts/s at 10k and 100k nodes) as a JSON document for
 # checking in (BENCH_PR8.json; BENCH_PR6.json recorded the packed-counter
 # contact path). When `make scale` has left artifacts/scale.json behind,
 # the full 10k/100k/1M sweep is embedded as the document's "scale" field.
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineContact|BenchmarkCoreContact|InsertPre|ContainsPre|MMergeInPlace|EncodeTo|DecodeInto|EncodeFull|DecodeFull|QuantizeCopy|WireSize' \
-		-benchmem -count=1 ./internal/engine ./internal/core ./internal/tcbf ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineContact|BenchmarkCoreContact|BenchmarkLiveSession|InsertPre|ContainsPre|MMergeInPlace|EncodeTo|DecodeInto|EncodeFull|DecodeFull|QuantizeCopy|WireSize' \
+		-benchmem -count=1 ./internal/engine ./internal/core ./internal/tcbf ./internal/livenode ; \
 	  $(GO) test -run '^$$' -bench BenchmarkScaleSim -benchtime 1x -count=1 ./internal/experiments ; } \
 		| $(GO) run ./cmd/benchjson $(if $(wildcard artifacts/scale.json),-scale artifacts/scale.json) > BENCH_PR8.json

@@ -7,6 +7,7 @@
 //	bsub-sim -protocol push -preset haggle -ttl 10h
 //	bsub-sim -nodes 100000 -workers 8 -epoch 10m -ttl 6h
 //	bsub-sim -nodes 100000 -df 0.1 -ttl 6h -cpuprofile cpu.pprof
+//	bsub-sim -nodes 10000 -ttl 6h -workers 2 -trace run.trace
 //
 // The trace comes either from a file argument (the repository's text
 // format, see cmd/tracegen), from a -preset, or — for population-scale
@@ -16,7 +17,8 @@
 // message rates proportional to centrality, sizes up to 140 bytes.
 // -workers shards contact execution across goroutines and -epoch sets the
 // barrier width; results are byte-identical for any setting of either.
-// -cpuprofile and -memprofile write runtime/pprof profiles of the run.
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run, and
+// -trace a runtime/trace execution trace (`go tool trace`).
 package main
 
 import (
@@ -55,10 +57,11 @@ func run() (err error) {
 		epoch     = flag.Duration("epoch", 0, "sharding epoch width; 0 = default; output is identical for any value")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
+		traceOut  = flag.String("trace", "", "write a runtime/trace execution trace of the run to this file")
 	)
 	flag.Parse()
 
-	stop, err := profiling.Start(*cpuProf, *memProf)
+	stop, err := profiling.Start(*cpuProf, *memProf, *traceOut)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@
 //	experiments -run fig7       # one artifact: table1 table2 fig7 fig8 fig9 memory analysis allocation
 //	experiments -quick          # small fixture + reduced sweeps (seconds)
 //	experiments -run scale -cpuprofile cpu.pprof -memprofile mem.pprof
+//	experiments -quick -run fig7 -trace fig7.trace
 package main
 
 import (
@@ -42,10 +43,11 @@ func run() (err error) {
 		benchOut = flag.String("bench-json", "", "write the filter-backend ablation (grid + population leg) as JSON to this file; ablation artifact only")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
+		traceOut = flag.String("trace", "", "write a runtime/trace execution trace of the run to this file")
 	)
 	flag.Parse()
 
-	stop, err := profiling.Start(*cpuProf, *memProf)
+	stop, err := profiling.Start(*cpuProf, *memProf, *traceOut)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -60,18 +61,17 @@ func advertBytes(t *testing.T, n *Node, now time.Duration, keys ...workload.Key)
 	return out
 }
 
-// pullOneMessageWithoutAck speaks phases 0–2 (HELLO, election, genuine) of
-// the contact protocol against node from the initiator side, then sends
-// one interest-BF pull request and reads back one frameMessage — which it
-// never ACKs. Returns with the message frame consumed and the session
-// parked exactly inside the sender's awaitAck.
+// openPull speaks phases 0–2 (HELLO, election, genuine) of the contact
+// protocol against node from the initiator side, then sends one
+// interest-BF pull request. The node's answer — its message batch and
+// END — is left unread.
 //
-// In both callers the node ends up the consumer side of the genuine phase
+// In every caller the node ends up the consumer side of the genuine phase
 // (it elects this peer a broker, or the peer announced itself as one), so
 // the harness reads the node's genuine frame and never sends its own.
 // A non-nil emptyDeliveryPull runs an empty delivery pull first so the
 // responder moves on to the replication answer.
-func pullOneMessageWithoutAck(t *testing.T, conn net.Conn, peerHello hello, pullPurpose byte, pullBody, emptyDeliveryPull []byte) {
+func openPull(t *testing.T, conn net.Conn, peerHello hello, pullPurpose byte, pullBody, emptyDeliveryPull []byte) {
 	t.Helper()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 	if err := writeFrame(conn, frameHello, peerHello.encode()); err != nil {
@@ -100,6 +100,16 @@ func pullOneMessageWithoutAck(t *testing.T, conn net.Conn, peerHello hello, pull
 	if err := writeFrame(conn, frameInterestBF, append([]byte{pullPurpose}, pullBody...)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pullOneMessageWithoutAck opens a pull (see openPull) and reads back
+// one frameMessage of the answer — which it never ACKs. Returns with the
+// message frame consumed and the rest of the batch (its END) unread: the
+// sender is still inside the one Write that carries its whole batch, or
+// waiting for the ACK burst.
+func pullOneMessageWithoutAck(t *testing.T, conn net.Conn, peerHello hello, pullPurpose byte, pullBody, emptyDeliveryPull []byte) {
+	t.Helper()
+	openPull(t, conn, peerHello, pullPurpose, pullBody, emptyDeliveryPull)
 	if _, err := expectFrame(conn, frameMessage); err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +201,107 @@ func TestSeverBeforeAckRefundsReplicationCopy(t *testing.T) {
 	}
 	if c := node.Stats(); c.MsgsRefunded != 1 {
 		t.Errorf("MsgsRefunded = %d, want 1", c.MsgsRefunded)
+	}
+}
+
+// TestSeverInsideAckBurst severs a contact partway through a batch's ACK
+// burst: a scripted broker pulls k replication copies, reads the whole
+// batch and its END, ACKs only the first j, and hangs up. The j ACKed
+// copies are spent, the k-j others are refunded, no message's copies
+// exceed the limit by more than its refunds, and a clean follow-up
+// contact delivers every message exactly once.
+func TestSeverInsideAckBurst(t *testing.T) {
+	const k, j = 5, 2
+	clock := newMeshClock(time.Hour)
+	node := startNode(t, 1, clock, nil)
+	now := clock.now()
+	for i := 0; i < k; i++ {
+		if _, err := node.Publish([]byte(fmt.Sprintf("copy %d", i)), "hot"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyLimit := node.cfg.Protocol.CopyLimit
+
+	local, remote := net.Pipe()
+	defer local.Close()
+	done := make(chan error, 1)
+	go func() { done <- node.runContact(remote, false) }()
+
+	openPull(t, local, hello{ID: 99, Broker: true}, pullReplication,
+		advertBytes(t, node, now, "hot"), interestBytes(t, node, now))
+	var sent []int
+	for {
+		typ, body, err := readFrame(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == frameEndMessages {
+			break
+		}
+		if typ != frameMessage {
+			t.Fatalf("frame %d inside the replication batch", typ)
+		}
+		msg, _, err := decodeMessage(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, msg.ID)
+	}
+	if len(sent) != k {
+		t.Fatalf("batch carried %d copies, want %d", len(sent), k)
+	}
+	for _, id := range sent[:j] {
+		if err := writeFrame(local, frameMsgAck, appendAck(nil, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	local.Close() // sever inside the ACK burst
+
+	if err := <-done; err == nil {
+		t.Fatal("severed session reported success")
+	}
+	c := node.Stats()
+	if c.MsgsRefunded != k-j {
+		t.Errorf("MsgsRefunded = %d, want %d", c.MsgsRefunded, k-j)
+	}
+	if c.Severed != 1 {
+		t.Errorf("Severed = %d, want 1", c.Severed)
+	}
+	for i, id := range sent {
+		// The scripted broker holds one copy of every message it read.
+		acked, held := i < j, node.CopyCensus(id)
+		want, refunds := copyLimit, 1
+		if acked {
+			want, refunds = copyLimit-1, 0
+		}
+		if held != want {
+			t.Errorf("message %d (acked %v): node holds %d copies, want %d", id, acked, held, want)
+		}
+		if census := held + 1; census > copyLimit+refunds {
+			t.Errorf("message %d: census %d exceeds limit %d + %d refunds", id, census, copyLimit, refunds)
+		}
+	}
+
+	// A clean follow-up contact delivers each message exactly once.
+	var out sink
+	consumer := startNode(t, 2, clock, &out)
+	consumer.Subscribe("hot")
+	liveContact(t, consumer, node)
+	liveContact(t, consumer, node)
+	seen := map[int]int{}
+	for _, id := range out.ids() {
+		seen[id]++
+	}
+	for _, id := range sent {
+		if seen[id] != 1 {
+			t.Errorf("message %d delivered %d times over two clean contacts, want 1", id, seen[id])
+		}
+	}
+	if len(seen) != k {
+		t.Errorf("consumer saw %d distinct messages, want %d", len(seen), k)
+	}
+	if c := node.Stats(); c.MsgsRefunded != k-j {
+		t.Errorf("MsgsRefunded after clean contacts = %d, want %d", c.MsgsRefunded, k-j)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // FuzzDecodeMessage hardens the message decoder against adversarial peers.
 func FuzzDecodeMessage(f *testing.F) {
-	seed, err := encodeMessage(workload.Message{
+	seed, err := appendMessage(nil, workload.Message{
 		ID:        77,
 		Key:       "alpha",
 		Extra:     []workload.Key{"beta"},
@@ -36,7 +36,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("size %d != payload %d", msg.Size, len(payload))
 		}
 		// A successfully decoded message must re-encode.
-		if _, err := encodeMessage(msg, payload); err != nil {
+		if _, err := appendMessage(nil, msg, payload); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
 	})

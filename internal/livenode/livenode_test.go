@@ -3,6 +3,7 @@ package livenode
 import (
 	"bytes"
 	"errors"
+	"net"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -42,6 +43,16 @@ func (s *sink) count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.msgs)
+}
+
+func (s *sink) ids() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]int, len(s.msgs))
+	for i, d := range s.msgs {
+		out[i] = d.Message.ID
+	}
+	return out
 }
 
 func (s *sink) payloads() []string {
@@ -326,9 +337,40 @@ func TestHelloVersionMismatch(t *testing.T) {
 	}
 }
 
+// A v3 peer would wait for per-message ACKs that a v4 receiver holds back
+// until END; the version byte must refuse it at HELLO instead, both in
+// the decoder and in a live session, which must end at once rather than
+// stall until SessionTimeout.
+func TestHelloRefusesV3(t *testing.T) {
+	v3 := hello{ID: 3}.encode()
+	v3[0] = 3
+	if _, err := decodeHello(v3); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("v3 hello error = %v, want ErrVersionMismatch", err)
+	}
+
+	clock := newMeshClock(time.Hour)
+	node := startNode(t, 1, clock, nil)
+	local, remote := net.Pipe()
+	defer local.Close()
+	done := make(chan error, 1)
+	go func() { done <- node.runContact(remote, false) }()
+	_ = local.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(local, frameHello, v3); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrVersionMismatch) {
+			t.Errorf("session with a v3 peer ended with %v, want ErrVersionMismatch", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("session with a v3 peer did not fail fast")
+	}
+}
+
 func TestAckRoundTrip(t *testing.T) {
 	id := int(uint64(7)<<32 | 123)
-	got, err := decodeAck(encodeAck(id))
+	got, err := decodeAck(appendAck(nil, id))
 	if err != nil || got != id {
 		t.Errorf("ack round trip = %d, %v; want %d", got, err, id)
 	}
@@ -370,7 +412,7 @@ func TestMessageWireRoundTrip(t *testing.T) {
 		Size:      5,
 		CreatedAt: 90 * time.Minute,
 	}
-	body, err := encodeMessage(msg, []byte("hello"))
+	body, err := appendMessage(nil, msg, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +433,7 @@ func TestMessageWireRoundTrip(t *testing.T) {
 
 func TestDecodeMessageRejectsCorrupt(t *testing.T) {
 	msg := workload.Message{ID: 1, Key: "k", Origin: 2, CreatedAt: time.Minute}
-	body, err := encodeMessage(msg, []byte("payload"))
+	body, err := appendMessage(nil, msg, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -72,11 +73,11 @@ type Config struct {
 	// MeetBackoff is the pause before Meet's first retry, doubled after
 	// each failed attempt. Zero or negative selects DefaultMeetBackoff.
 	MeetBackoff time.Duration
-	// SessionTimeout bounds each single frame read or write inside a
-	// contact session. The deadline is re-armed before every frame, so a
-	// healthy transfer may run arbitrarily long while a stalled peer is
-	// detected within one timeout. Zero or negative selects
-	// DefaultSessionTimeout.
+	// SessionTimeout bounds each single frame read, and each turn's one
+	// write, inside a contact session. The deadline is re-armed before
+	// every socket read and write, so a healthy transfer may run
+	// arbitrarily long while a stalled peer is detected within one
+	// timeout. Zero or negative selects DefaultSessionTimeout.
 	SessionTimeout time.Duration
 	// DialTimeout bounds Meet's TCP connect. Zero or negative selects
 	// DefaultDialTimeout.
@@ -132,6 +133,9 @@ type Node struct {
 	// sessions is the MaxSessions semaphore; every running session (in
 	// either direction) holds one slot.
 	sessions chan struct{}
+	// bufs pools the sessions' framing buffers. It holds at most
+	// MaxSessions sets, as many as can be in use at once.
+	bufs chan *wireBufs
 
 	// mu guards the engine node and the publish sequence. It never
 	// nests with statsMu, but the ranks pin the order if that ever
@@ -191,6 +195,7 @@ func Listen(addr string, cfg Config) (*Node, error) {
 		listener:  ln,
 		closed:    make(chan struct{}),
 		sessions:  make(chan struct{}, cfg.MaxSessions),
+		bufs:      make(chan *wireBufs, cfg.MaxSessions),
 		eng:       eng,
 	}
 	n.wg.Add(1)
@@ -526,12 +531,13 @@ func (n *Node) runContactPre(conn io.ReadWriter, initiator bool, preTyp byte, pr
 	start := time.Now()
 	n.sessionStarted()
 	s := &session{n: n, conn: conn, initiator: initiator, timeout: n.cfg.SessionTimeout,
-		preTyp: preTyp, preBody: preBody}
+		wb: n.takeBufs(conn), preTyp: preTyp, preBody: preBody}
 	if dl, ok := conn.(deadlineConn); ok {
 		s.dl = dl
 	}
 	s.stats.Initiator = initiator
 	err := s.run(n.cfg.Clock())
+	n.returnBufs(s.wb)
 	if s.es != nil {
 		n.mu.Lock()
 		if err != nil {
@@ -555,6 +561,44 @@ func (n *Node) runContactPre(conn io.ReadWriter, initiator bool, preTyp byte, pr
 	}
 	n.sessionEnded(s.stats, true)
 	return err
+}
+
+// readBufSize is a session's read buffer. A typical peer turn — HELLO,
+// election, filters of tens to hundreds of bytes, a few messages of at
+// most a few hundred — fits whole; a larger batch simply takes more
+// reads. Kept small because every node pools up to MaxSessions of them.
+const readBufSize = 1024
+
+// maxPooledOut bounds the write buffer a pooled wireBufs keeps; one grown
+// past it by a large batch is dropped rather than pinned in the pool.
+const maxPooledOut = 4096
+
+// takeBufs hands a session its framing buffers, reading from conn: a
+// pooled set when one is free, a fresh one otherwise.
+func (n *Node) takeBufs(conn io.Reader) *wireBufs {
+	select {
+	case b := <-n.bufs:
+		b.r.Reset(conn)
+		return b
+	default:
+		return &wireBufs{r: bufio.NewReaderSize(conn, readBufSize)}
+	}
+}
+
+// returnBufs clears a finished session's buffers and pools them, unless
+// the pool is full.
+func (n *Node) returnBufs(b *wireBufs) {
+	b.r.Reset(nil)
+	if cap(b.out) > maxPooledOut {
+		b.out = nil
+	}
+	b.out, b.outFrames = b.out[:0], 0
+	clear(b.unacked[:cap(b.unacked)])
+	b.unacked, b.acks = b.unacked[:0], b.acks[:0]
+	select {
+	case n.bufs <- b:
+	default:
+	}
 }
 
 // outcomeForError classifies a mid-protocol failure for stats: a CRC

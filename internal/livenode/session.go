@@ -1,11 +1,14 @@
 package livenode
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
 
 	"bsub/internal/engine"
+	"bsub/internal/workload"
 )
 
 // session is one contact session in flight: the wire half of a contact.
@@ -18,20 +21,29 @@ import (
 // never across network I/O. The engine session pins the roles and relay
 // filter at HELLO/election time, so the wire protocol stays in lockstep
 // even if a concurrent session changes the node's role mid-flight.
+//
+// The session is pipelined: outgoing frames queue in a write buffer and
+// leave in one Write right before the session next has to wait on the
+// socket, and inbound frames are parsed out of a read buffer. The
+// protocol is half-duplex — only one side talks at a time — so a turn's
+// frames always travel together and each turn costs one Write.
 type session struct {
 	n         *Node
 	conn      io.ReadWriter
 	initiator bool
 	stats     SessionStats
 
-	// timeout bounds each single frame read or write; the deadline is
-	// re-armed per frame (see readFrame/writeFrame), so a healthy long
-	// transfer is never cut while a stalled peer is caught within one
-	// timeout.
+	// timeout bounds each single frame read and each flush; the deadline
+	// is re-armed per socket read and per Write (see readFrame/flush), so
+	// a healthy long transfer is never cut while a stalled peer is caught
+	// within one timeout.
 	timeout time.Duration
-	// dl arms those per-frame deadlines when the transport supports them
-	// (TCP connections and net.Pipe do); nil otherwise.
+	// dl arms those deadlines when the transport supports them (TCP
+	// connections and net.Pipe do); nil otherwise.
 	dl deadlineConn
+
+	// wb holds the session's framing buffers, taken from the node's pool.
+	wb *wireBufs
 
 	// es is the engine session driving this contact. Its claims commit on
 	// the peer's MSGACK and are refunded (aborted) when the contact dies.
@@ -44,6 +56,24 @@ type session struct {
 	preBody []byte
 }
 
+// wireBufs are one session's framing buffers. The node pools them (see
+// Node.takeBufs), so a contact reuses the buffers of an earlier one.
+type wireBufs struct {
+	// r buffers inbound bytes: a peer's whole turn usually arrives in
+	// one socket read and its frames are parsed from memory.
+	r *bufio.Reader
+	// out holds the frames queued since the last flush; outFrames counts
+	// them.
+	out       []byte
+	outFrames int
+	// unacked are the claims of the message batch in flight, in send
+	// order, each committed as its ACK arrives.
+	unacked []*engine.Claim
+	// acks are the IDs of the messages received in the current batch,
+	// ACKed together once its END has arrived.
+	acks []int
+}
+
 // deadlineConn is the subset of net.Conn the session uses to arm
 // per-frame I/O deadlines.
 type deadlineConn interface {
@@ -51,21 +81,56 @@ type deadlineConn interface {
 	SetWriteDeadline(time.Time) error
 }
 
-// writeFrame sends one frame under a fresh write deadline and accounts it.
+// writeFrame queues one frame; it leaves with the rest of the turn at the
+// next flush.
 func (s *session) writeFrame(typ byte, body []byte) error {
-	if s.dl != nil {
-		_ = s.dl.SetWriteDeadline(time.Now().Add(s.timeout))
-	}
-	if err := writeFrame(s.conn, typ, body); err != nil {
+	out, start := openFrame(s.wb.out)
+	return s.sealFrame(append(out, body...), start, typ)
+}
+
+// writePull queues an interest-BF frame: the pull's purpose byte, then
+// the filter bytes.
+func (s *session) writePull(purpose byte, filter []byte) error {
+	out, start := openFrame(s.wb.out)
+	return s.sealFrame(append(append(out, purpose), filter...), start, frameInterestBF)
+}
+
+// sealFrame seals the frame opened at out[start] and keeps it queued.
+func (s *session) sealFrame(out []byte, start int, typ byte) error {
+	out, err := sealFrame(out, start, typ)
+	s.wb.out = out
+	if err != nil {
 		return err
 	}
-	s.stats.FramesOut++
-	s.stats.BytesOut += int64(frameHeaderLen + len(body))
+	s.wb.outFrames++
 	return nil
 }
 
-// readFrame receives one frame under a fresh read deadline and accounts
-// it. A frame pre-read by handleInbound is consumed first.
+// flush sends every queued frame in one Write under a fresh write
+// deadline and accounts them. It runs right before any read that has to
+// reach the socket, since the peer may be waiting on those frames, and
+// after BYE.
+func (s *session) flush() error {
+	b := s.wb
+	if len(b.out) == 0 {
+		return nil
+	}
+	if s.dl != nil {
+		_ = s.dl.SetWriteDeadline(time.Now().Add(s.timeout))
+	}
+	if _, err := s.conn.Write(b.out); err != nil {
+		return fmt.Errorf("livenode: write frame: %w", err)
+	}
+	s.stats.FramesOut += b.outFrames
+	s.stats.BytesOut += int64(len(b.out))
+	b.out, b.outFrames = b.out[:0], 0
+	return nil
+}
+
+// readFrame receives one frame and accounts it. A frame pre-read by
+// handleInbound is consumed first, and one already whole in the read
+// buffer is parsed from memory; otherwise the queued frames are flushed
+// and the read waits on the socket under a fresh read deadline.
 func (s *session) readFrame() (byte, []byte, error) {
 	if s.preTyp != 0 {
 		typ, body := s.preTyp, s.preBody
@@ -74,16 +139,32 @@ func (s *session) readFrame() (byte, []byte, error) {
 		s.stats.BytesIn += int64(frameHeaderLen + len(body))
 		return typ, body, nil
 	}
-	if s.dl != nil {
-		_ = s.dl.SetReadDeadline(time.Now().Add(s.timeout))
+	if !s.frameBuffered() {
+		if err := s.flush(); err != nil {
+			return 0, nil, err
+		}
+		if s.dl != nil {
+			_ = s.dl.SetReadDeadline(time.Now().Add(s.timeout))
+		}
 	}
-	typ, body, err := readFrame(s.conn)
+	typ, body, err := readFrame(s.wb.r)
 	if err != nil {
 		return typ, body, err
 	}
 	s.stats.FramesIn++
 	s.stats.BytesIn += int64(frameHeaderLen + len(body))
 	return typ, body, nil
+}
+
+// frameBuffered reports whether the read buffer holds the whole next
+// frame, so reading it needs no socket read.
+func (s *session) frameBuffered() bool {
+	r := s.wb.r
+	if r.Buffered() < frameHeaderLen {
+		return false
+	}
+	hdr, _ := r.Peek(frameHeaderLen) // cannot fail: the bytes are buffered
+	return uint64(r.Buffered()) >= frameHeaderLen+uint64(binary.BigEndian.Uint32(hdr[1:5]))
 }
 
 // expectFrame reads a frame and verifies its type.
@@ -98,31 +179,41 @@ func (s *session) expectFrame(want byte) ([]byte, error) {
 	return body, nil
 }
 
-// sendClaimed moves one claimed message copy across the wire. The claim
-// commits only when the peer's ACK arrives; on any failure — torn write,
-// severed link, missing ACK — the claim is aborted, refunding the copy to
-// its store, and the error ends the session. The receiver dedups by
-// message ID, so a copy resent after a lost ACK can never double-deliver.
+// sendClaimed queues one claimed message copy of the batch in flight. The
+// claim is recorded before its frame is built, so whatever fails from
+// here on — encoding, the flush, a missing ACK — leaves it unsettled, and
+// the session's Abort refunds it when the error ends the contact. The
+// receiver dedups by message ID, so a copy resent after a lost ACK can
+// never double-deliver.
 func (s *session) sendClaimed(c *engine.Claim) error {
-	body, err := encodeMessage(c.Msg(), c.Payload())
-	if err == nil {
-		err = s.writeFrame(frameMessage, body)
-	}
-	if err == nil {
-		err = s.awaitAck(c.Msg().ID)
-	}
+	s.wb.unacked = append(s.wb.unacked, c)
+	out, start := openFrame(s.wb.out)
+	out, err := appendMessage(out, c.Msg(), c.Payload())
 	if err != nil {
-		s.n.mu.Lock()
-		c.Abort()
-		s.n.mu.Unlock()
-		s.stats.MsgsRefunded++
+		s.wb.out = out[:start]
 		return err
 	}
-	c.Commit()
+	return s.sealFrame(out, start, frameMessage)
+}
+
+// endBatch closes the batch in flight: it queues END, then reads the
+// peer's ACK burst — one MSGACK per message, in send order — committing
+// each claim as its ACK arrives.
+func (s *session) endBatch() error {
+	if err := s.writeFrame(frameEndMessages, nil); err != nil {
+		return err
+	}
+	for _, c := range s.wb.unacked {
+		if err := s.awaitAck(c.Msg().ID); err != nil {
+			return err
+		}
+		c.Commit()
+	}
+	s.wb.unacked = s.wb.unacked[:0]
 	return nil
 }
 
-// awaitAck blocks for the frameMsgAck of message id.
+// awaitAck reads the frameMsgAck of message id.
 func (s *session) awaitAck(id int) error {
 	body, err := s.expectFrame(frameMsgAck)
 	if err != nil {
@@ -138,10 +229,39 @@ func (s *session) awaitAck(id int) error {
 	return nil
 }
 
-// writeAck acknowledges a received message after it has been processed
-// (delivered and/or stored), committing the sender's claim.
-func (s *session) writeAck(id int) error {
-	return s.writeFrame(frameMsgAck, encodeAck(id))
+// recvBatch reads one message batch up to its END, handing each message
+// to accept as it arrives (delivered and/or stored), then queues the
+// batch's MSGACKs as one burst in arrival order. The ACKs wait for END:
+// the sender reads no ACK before it has written its whole batch, so an
+// ACK written earlier could stall an unbuffered transport.
+func (s *session) recvBatch(during string, accept func(workload.Message, []byte)) error {
+	b := s.wb
+	b.acks = b.acks[:0]
+	for {
+		typ, body, err := s.readFrame()
+		if err != nil {
+			return err
+		}
+		if typ == frameEndMessages {
+			break
+		}
+		if typ != frameMessage {
+			return fmt.Errorf("%w: frame %d during %s", ErrProtocol, typ, during)
+		}
+		msg, payload, err := decodeMessage(body)
+		if err != nil {
+			return err
+		}
+		accept(msg, payload)
+		b.acks = append(b.acks, msg.ID)
+	}
+	for _, id := range b.acks {
+		out, start := openFrame(b.out)
+		if err := s.sealFrame(appendAck(out, id), start, frameMsgAck); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // lockstep runs send/recv in initiator-first order.
@@ -299,12 +419,16 @@ func (s *session) run(now time.Duration) error {
 	s.stats.Phase = PhasePull
 
 	// Phase 5: BYE.
-	return s.lockstep(
+	err = s.lockstep(
 		func() error { return s.writeFrame(frameBye, nil) },
 		func() error {
 			_, err := s.expectFrame(frameBye)
 			return err
 		})
+	if err != nil {
+		return err
+	}
+	return s.flush()
 }
 
 // Election actions; the byte values match engine.Action.
@@ -366,29 +490,12 @@ func (s *session) relayPhase(now time.Duration) error {
 				return err
 			}
 		}
-		return s.writeFrame(frameEndMessages, nil)
+		return s.endBatch()
 	}
 	recvCands := func() error {
-		for {
-			typ, body, err := s.readFrame()
-			if err != nil {
-				return err
-			}
-			if typ == frameEndMessages {
-				return nil
-			}
-			if typ != frameMessage {
-				return fmt.Errorf("%w: frame %d during relay forwarding", ErrProtocol, typ)
-			}
-			msg, payload, err := decodeMessage(body)
-			if err != nil {
-				return err
-			}
+		return s.recvBatch("relay forwarding", func(msg workload.Message, payload []byte) {
 			n.acceptCarried(msg, payload, now)
-			if err := s.writeAck(msg.ID); err != nil {
-				return err
-			}
-		}
+		})
 	}
 	if err := s.lockstep(sendCands, recvCands); err != nil {
 		return err
@@ -416,24 +523,10 @@ func (s *session) askDelivery(peerID uint32, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if err := s.writeFrame(frameInterestBF, append([]byte{pullDelivery}, fBytes...)); err != nil {
+	if err := s.writePull(pullDelivery, fBytes); err != nil {
 		return err
 	}
-	for {
-		typ, body, err := s.readFrame()
-		if err != nil {
-			return err
-		}
-		if typ == frameEndMessages {
-			return nil
-		}
-		if typ != frameMessage {
-			return fmt.Errorf("%w: frame %d during delivery pull", ErrProtocol, typ)
-		}
-		msg, payload, err := decodeMessage(body)
-		if err != nil {
-			return err
-		}
+	return s.recvBatch("delivery pull", func(msg workload.Message, payload []byte) {
 		// The match was probabilistic (Bloom filter); the engine counts a
 		// delivery only if the copy is live and we really want it — a
 		// mismatch is a false-positive transfer. Either way the copy is
@@ -444,10 +537,7 @@ func (s *session) askDelivery(peerID uint32, now time.Duration) error {
 		if acc.Delivered {
 			n.deliver(msg, payload, acc.Direct)
 		}
-		if err := s.writeAck(msg.ID); err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // answerDelivery serves the peer's delivery request from our produced
@@ -487,7 +577,7 @@ func (s *session) answerDelivery() error {
 			return err
 		}
 	}
-	return s.writeFrame(frameEndMessages, nil)
+	return s.endBatch()
 }
 
 // askReplication advertises our relay filter and stores the returned
@@ -500,29 +590,12 @@ func (s *session) askReplication(now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if err := s.writeFrame(frameInterestBF, append([]byte{pullReplication}, fBytes...)); err != nil {
+	if err := s.writePull(pullReplication, fBytes); err != nil {
 		return err
 	}
-	for {
-		typ, body, err := s.readFrame()
-		if err != nil {
-			return err
-		}
-		if typ == frameEndMessages {
-			return nil
-		}
-		if typ != frameMessage {
-			return fmt.Errorf("%w: frame %d during replication pull", ErrProtocol, typ)
-		}
-		msg, payload, err := decodeMessage(body)
-		if err != nil {
-			return err
-		}
+	return s.recvBatch("replication pull", func(msg workload.Message, payload []byte) {
 		n.acceptCarried(msg, payload, now)
-		if err := s.writeAck(msg.ID); err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // answerReplication replicates matching produced messages to the broker,
@@ -557,7 +630,7 @@ func (s *session) answerReplication() error {
 			return err
 		}
 	}
-	return s.writeFrame(frameEndMessages, nil)
+	return s.endBatch()
 }
 
 // readPull reads an interest-BF frame of the expected purpose and returns

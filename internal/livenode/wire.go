@@ -16,7 +16,9 @@
 //	interest BF + messages  direct and broker-mediated delivery
 //
 // All filters travel in the Section VI-C compact encoding (package tcbf's
-// wire format); messages are length-prefixed binary frames.
+// wire format); messages are length-prefixed binary frames. The session
+// is half-duplex and pipelined: a side queues its whole turn and sends it
+// in one Write just before it next waits on the socket.
 //
 // All protocol decisions come from the transport-agnostic engine package
 // (internal/engine): a session drives an engine.Session step by step and
@@ -46,13 +48,16 @@
 // Human contacts end without warning, so a session must be safe to sever
 // at any byte. Every frame carries a CRC32 trailer in its header; a flaky
 // link surfaces as ErrCorruptFrame instead of decoder garbage. Each frame
-// read and write is bounded by its own deadline (Config.SessionTimeout),
-// so a stalled peer is detected within one timeout however long the
-// healthy transfer runs. Message hand-off is acknowledged: a copy claimed
-// from a store is spent only when the receiver's frameMsgAck arrives, and
-// a claim whose ACK never comes is refunded when the session aborts —
-// copy counts are conserved across severed contacts, and the receiver
-// dedups by message ID, so a lost ACK can never double-deliver.
+// read and each turn's write is bounded by its own deadline
+// (Config.SessionTimeout), so a stalled peer is detected within one
+// timeout however long the healthy transfer runs. Message hand-off is acknowledged by per-message
+// ACKs, sent as one burst per phase: the sender writes a whole batch and
+// its END, the receiver processes each message on arrival and then
+// answers with one frameMsgAck per message. A copy claimed from a store
+// is spent only when its ACK arrives, and a claim whose ACK never comes is
+// refunded when the session aborts — copy counts are conserved across
+// severed contacts, and the receiver dedups by message ID, so a lost ACK
+// can never double-deliver.
 package livenode
 
 import (
@@ -80,9 +85,10 @@ const (
 	// capacity: sent instead of the HELLO reply, then the connection
 	// closes. The dialer maps it to ErrPeerBusy and may retry.
 	frameBusy
-	// frameMsgAck acknowledges one frameMessage by message ID. The sender
-	// of a claimed copy treats the copy as spent only once the ACK
-	// arrives; until then an aborted session refunds the claim.
+	// frameMsgAck acknowledges one frameMessage by message ID. A batch's
+	// ACKs follow its END as one burst, in message order. The sender of a
+	// claimed copy treats the copy as spent only once the ACK arrives;
+	// until then an aborted session refunds the claim.
 	frameMsgAck
 	// frameGossip is a membership datagram riding outside contact
 	// sessions: a dialer opens a connection, sends one gossip frame, and
@@ -97,9 +103,13 @@ const (
 // v2 added the CRC32 frame trailer and per-message ACKs; v3 is the
 // engine-driven protocol — the genuine filter travels in one direction
 // only (consumer -> broker, derived from the election outcome) and relay
-// filters use the partitioned encoding. Mismatched peers must fail fast
-// instead of trading garbage frames.
-const protoVersion = 3
+// filters use the partitioned encoding. v4 changes ACK timing only, with
+// no new frame: a receiver sends a batch's MSGACKs as one burst after its
+// END, where v3 answered each message before the next was sent. A v3
+// sender would wait for an ACK a v4 receiver holds back until END, and
+// stall until SessionTimeout. Mismatched peers must fail fast instead of
+// trading garbage frames or stalling.
+const protoVersion = 4
 
 // maxFrameBytes bounds a frame body; filters are tens of bytes and
 // messages are capped at 140 B payloads, so 64 KiB is generous.
@@ -132,19 +142,39 @@ func frameCRC(hdr []byte, body []byte) uint32 {
 	return crc32.Update(sum, ieeeTable, body)
 }
 
+// openFrame appends a placeholder frame header to dst and returns the
+// frame's start offset; the caller appends the body and seals the frame
+// with sealFrame. Frames built in place this way cost no copy of the body.
+func openFrame(dst []byte) ([]byte, int) {
+	return append(dst, make([]byte, frameHeaderLen)...), len(dst)
+}
+
+// sealFrame fills in the header of the frame that starts at dst[start]:
+// its type, its body length, and the CRC over both and the body. An
+// oversized frame is cut back off dst.
+func sealFrame(dst []byte, start int, typ byte) ([]byte, error) {
+	frame := dst[start:]
+	n := len(frame) - frameHeaderLen
+	if n > maxFrameBytes {
+		return dst[:start], fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	frame[0] = typ
+	binary.BigEndian.PutUint32(frame[1:], uint32(n))
+	binary.BigEndian.PutUint32(frame[5:], frameCRC(frame[:5], frame[frameHeaderLen:]))
+	return dst, nil
+}
+
 // writeFrame sends one type-tagged, length-prefixed, CRC-trailed frame.
 // Header and body are coalesced into a single Write so a fault or a
-// concurrent close between syscalls can never emit a bare header, and a
-// frame costs one syscall instead of two.
+// concurrent close between syscalls can never emit a bare header. Contact
+// sessions queue their frames instead (see session.flush); this serves
+// the one-frame exchanges outside them: BUSY and gossip.
 func writeFrame(w io.Writer, typ byte, body []byte) error {
-	if len(body) > maxFrameBytes {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
+	buf, start := openFrame(make([]byte, 0, frameHeaderLen+len(body)))
+	buf, err := sealFrame(append(buf, body...), start, typ)
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, frameHeaderLen+len(body))
-	buf[0] = typ
-	binary.BigEndian.PutUint32(buf[1:], uint32(len(body)))
-	copy(buf[frameHeaderLen:], body)
-	binary.BigEndian.PutUint32(buf[5:], frameCRC(buf[:5], buf[frameHeaderLen:]))
 	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("livenode: write frame: %w", err)
 	}
@@ -219,11 +249,10 @@ func decodeHello(body []byte) (hello, error) {
 	}, nil
 }
 
-// encodeAck serializes a frameMsgAck body: the acknowledged message ID.
-func encodeAck(id int) []byte {
-	var out [8]byte
-	binary.BigEndian.PutUint64(out[:], uint64(id))
-	return out[:]
+// appendAck appends a frameMsgAck body to dst: the acknowledged message
+// ID.
+func appendAck(dst []byte, id int) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(id))
 }
 
 // decodeAck parses a frameMsgAck body.
@@ -234,20 +263,20 @@ func decodeAck(body []byte) (int, error) {
 	return int(binary.BigEndian.Uint64(body)), nil
 }
 
-// encodeMessage serializes a message with its payload for the wire.
-func encodeMessage(m workload.Message, payload []byte) ([]byte, error) {
+// appendMessage appends the wire form of a message with its payload to
+// dst. On error the returned slice is dst with a partial body appended.
+func appendMessage(dst []byte, m workload.Message, payload []byte) ([]byte, error) {
 	keys := m.MatchKeys()
 	if len(keys) > 255 {
-		return nil, fmt.Errorf("%w: %d keys", ErrProtocol, len(keys))
+		return dst, fmt.Errorf("%w: %d keys", ErrProtocol, len(keys))
 	}
-	out := make([]byte, 0, 32+len(payload))
-	out = binary.BigEndian.AppendUint64(out, uint64(m.ID))
+	out := binary.BigEndian.AppendUint64(dst, uint64(m.ID))
 	out = binary.BigEndian.AppendUint32(out, uint32(m.Origin))
 	out = binary.BigEndian.AppendUint64(out, uint64(m.CreatedAt))
 	out = append(out, byte(len(keys)))
 	for _, k := range keys {
 		if len(k) > 255 {
-			return nil, fmt.Errorf("%w: key of %d bytes", ErrProtocol, len(k))
+			return out, fmt.Errorf("%w: key of %d bytes", ErrProtocol, len(k))
 		}
 		out = append(out, byte(len(k)))
 		out = append(out, k...)

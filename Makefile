@@ -1,7 +1,7 @@
 GO ?= go
 SHADOW := $(shell command -v shadow 2>/dev/null)
 
-.PHONY: build test race vet vet-shadow lint lint-fast lint-one lint-timing parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke check bench bench-json
+.PHONY: build test race vet vet-shadow lint lint-one parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke check bench bench-json
 
 build:
 	$(GO) build ./...
@@ -26,9 +26,9 @@ else
 	$(GO) vet -unreachable -unusedresult -lostcancel ./...
 endif
 
-# The linter is built once into bin/bsublint and shared by lint,
-# lint-one, and lint-fast; the binary rebuilds only when its sources
-# change, so repeated lint invocations skip the `go run` build step.
+# The linter is built once into bin/bsublint and shared by lint and
+# lint-one; the binary rebuilds only when its sources change, so
+# repeated lint invocations skip the `go run` build step.
 BSUBLINT := bin/bsublint
 LINT_SRC := $(wildcard cmd/bsublint/*.go internal/lint/*.go) go.mod
 
@@ -40,34 +40,14 @@ $(BSUBLINT): $(LINT_SRC)
 # core, no blocking I/O under locks, no dropped wire errors, goroutines
 # tied to shutdown paths, //bsub:lockrank ordering, and wire-tainted
 # lengths validated before use. See DESIGN.md §9 for the invariant
-# table. Always a full cold run — the authoritative gate.
+# table. Every run loads and type-checks the whole module (about a
+# second).
 lint: $(BSUBLINT)
 	$(BSUBLINT) ./...
-
-# lint-fast is the incremental developer loop: findings are cached in
-# bin/.lintcache keyed by content hashes of each package's files and
-# transitive deps, so a warm run with no changes replays the stored
-# findings (byte-identical to `make lint`) without loading or
-# type-checking anything. Any edit falls back to a full run that
-# refreshes the cache.
-lint-fast: $(BSUBLINT)
-	$(BSUBLINT) -cache bin/.lintcache ./...
 
 # lint-one runs a single analyzer, e.g. `make lint-one ANALYZER=lockio`.
 lint-one: $(BSUBLINT)
 	$(BSUBLINT) -analyzers $(ANALYZER) ./...
-
-# lint-timing records the full-vs-incremental linter wall time in
-# BENCH_PR10.json: one cold run that rebuilds the cache, then one warm
-# full-hit run.
-lint-timing: $(BSUBLINT)
-	@rm -rf bin/.lintcache
-	@t0=$$(date +%s%N); $(BSUBLINT) -cache bin/.lintcache ./... >/dev/null; \
-	t1=$$(date +%s%N); $(BSUBLINT) -cache bin/.lintcache ./... >/dev/null; \
-	t2=$$(date +%s%N); \
-	printf '{\n  "lint_full_cold_ms": %d,\n  "lint_fast_warm_ms": %d\n}\n' \
-		$$(( (t1 - t0) / 1000000 )) $$(( (t2 - t1) / 1000000 )) > BENCH_PR10.json
-	@cat BENCH_PR10.json
 
 # parity replays one deterministic contact sequence through the simulator
 # adapter and through live TCP-framed nodes under the race detector and
@@ -146,17 +126,16 @@ ablation:
 ablation-smoke:
 	$(GO) test -count=1 -run 'TestFilterBackendsMatrix|TestBackendAblationGolden|TestBackendScaleSweepQuick' ./internal/experiments
 
-# check is the PR gate: vet (plus the shadow pass), the repo-specific
-# analyzers (full cold run, then the incremental cache path so a stale
-# or corrupt cache can never pass the gate silently), the quick
-# sharded-determinism gate, and the full suite under the race detector,
-# then sim/live parity, the chaos suite, the mesh churn controller, a
-# fuzz smoke pass over the wire decoders, the engine state machine, the
-# TCBF differential model, and the cross-backend filter conformance
-# suite, the golden-CSV comparisons, the filter-backend ablation smoke,
-# and a benchmark smoke run. The livenode session adapter and the mesh
-# daemon are concurrent; never ship them unraced.
-check: vet vet-shadow lint lint-fast determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke
+# check is the PR gate: vet (plus the shadow pass), one full run of the
+# repo-specific analyzers, the quick sharded-determinism gate, and the
+# full suite under the race detector, then sim/live parity, the chaos
+# suite, the mesh churn controller, a fuzz smoke pass over the wire
+# decoders, the engine state machine, the TCBF differential model, and
+# the cross-backend filter conformance suite, the golden-CSV
+# comparisons, the filter-backend ablation smoke, and a benchmark smoke
+# run. The livenode session adapter and the mesh daemon are concurrent;
+# never ship them unraced.
+check: vet vet-shadow lint determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

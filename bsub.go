@@ -123,12 +123,12 @@ type (
 // Decaying-factor policies (Sections VI-B and VII-B).
 const (
 	// DFFixed uses ProtocolConfig.DecayPerMinute unchanged.
-	DFFixed = core.DFFixed
+	DFFixed = engine.DFFixed
 	// DFOnlineEq5 lets each broker recompute its DF from its own contact
 	// history via Eq. 5.
-	DFOnlineEq5 = core.DFOnlineEq5
+	DFOnlineEq5 = engine.DFOnlineEq5
 	// DFFeedback steers the DF toward ProtocolConfig.TargetFPR.
-	DFFeedback = core.DFFeedback
+	DFFeedback = engine.DFFeedback
 )
 
 // NewBSub returns a B-SUB protocol instance.
@@ -148,6 +148,10 @@ type (
 	// EngineSession is one side of a contact: the typed protocol steps in
 	// contact order, producing and consuming wire encodings.
 	EngineSession = engine.Session
+	// EngineSessionCache pools released sessions' scratch arenas for
+	// Engine.BeginContact (nil: unpooled sessions); the zero value is an
+	// empty cache.
+	EngineSessionCache = engine.SessionCache
 	// EngineClaim is a message copy pending transmission: Commit spends
 	// it, Abort refunds it.
 	EngineClaim = engine.Claim

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bsub/internal/engine"
 	"bsub/internal/sim"
 	"bsub/internal/tracegen"
 	"bsub/internal/workload"
@@ -34,13 +35,13 @@ func adaptiveFixture(t *testing.T, seed int64) sim.Config {
 
 func TestDFModeValidation(t *testing.T) {
 	cfg := DefaultConfig(0.1)
-	cfg.DFMode = DFFeedback // without TargetFPR
+	cfg.DFMode = engine.DFFeedback // without TargetFPR
 	b := New(cfg)
 	if err := b.Init(&fakeEnv{nodes: 2, ttl: time.Hour}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("DFFeedback without a target FPR accepted")
 	}
 	cfg = DefaultConfig(0.1)
-	cfg.DFMode = DFMode(99)
+	cfg.DFMode = engine.DFMode(99)
 	b = New(cfg)
 	if err := b.Init(&fakeEnv{nodes: 2, ttl: time.Hour}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("unknown DF mode accepted")
@@ -58,7 +59,7 @@ func TestDFOnlineEq5EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	adaptiveCfg := DefaultConfig(0) // DF recomputed per broker online
-	adaptiveCfg.DFMode = DFOnlineEq5
+	adaptiveCfg.DFMode = engine.DFOnlineEq5
 	adaptive, err := sim.Run(simCfg, New(adaptiveCfg))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestDFOnlineEq5EndToEnd(t *testing.T) {
 func TestDFFeedbackEndToEnd(t *testing.T) {
 	simCfg := adaptiveFixture(t, 62)
 	cfg := DefaultConfig(0)
-	cfg.DFMode = DFFeedback
+	cfg.DFMode = engine.DFFeedback
 	cfg.TargetFPR = 0.02
 	rep, err := sim.Run(simCfg, New(cfg))
 	if err != nil {

@@ -36,25 +36,6 @@ import (
 // per-field paper references.
 type Config = engine.Config
 
-// DFMode selects the decaying-factor policy.
-type DFMode = engine.DFMode
-
-// DF policies (see engine's docs).
-const (
-	DFFixed     = engine.DFFixed
-	DFOnlineEq5 = engine.DFOnlineEq5
-	DFFeedback  = engine.DFFeedback
-)
-
-// BrokerMergeMode selects the broker-broker relay-filter merge operation.
-type BrokerMergeMode = engine.BrokerMergeMode
-
-// Broker merge modes (see engine's docs).
-const (
-	BrokerMergeMax      = engine.BrokerMergeMax
-	BrokerMergeAdditive = engine.BrokerMergeAdditive
-)
-
 // DefaultConfig returns the paper's evaluation parameters with the given
 // decaying factor.
 func DefaultConfig(decayPerMinute float64) Config {
@@ -170,8 +151,8 @@ func (p *BSub) OnContact(env sim.Env, aID, bID trace.NodeID, budget *sim.Budget)
 	// live node performs. Sessions draw their scratch arenas from the
 	// executing worker's cache.
 	cache := p.caches[env.Worker()]
-	sa := a.eng.BeginContactFrom(cache, budget, now)
-	sb := b.eng.BeginContactFrom(cache, budget, now)
+	sa := a.eng.BeginContact(cache, budget, now)
+	sb := b.eng.BeginContact(cache, budget, now)
 	sa.SetPeer(sb.Hello())
 	sb.SetPeer(sa.Hello())
 	actA, actB := sa.Elect(), sb.Elect()
@@ -254,10 +235,10 @@ func (p *BSub) advanceOracle(n *node, now time.Duration) {
 
 // mergeOracle applies the broker merge semantics to ground-truth counters.
 // Absent keys are zero on both sides, so merging them changes nothing.
-func mergeOracle(dst, src []float64, mode BrokerMergeMode) {
+func mergeOracle(dst, src []float64, mode engine.BrokerMergeMode) {
 	for k, c := range src {
 		switch {
-		case mode == BrokerMergeAdditive:
+		case mode == engine.BrokerMergeAdditive:
 			dst[k] += c
 		case c > dst[k]:
 			dst[k] = c

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bsub/internal/engine"
 	"bsub/internal/filter"
 	"bsub/internal/metrics"
 	"bsub/internal/sim"
@@ -73,9 +74,9 @@ func TestHandOffMatchesBytePath(t *testing.T) {
 
 	variants := map[string]func(*Config){
 		"default":    func(*Config) {},
-		"additive":   func(c *Config) { c.BrokerMerge = BrokerMergeAdditive },
+		"additive":   func(c *Config) { c.BrokerMerge = engine.BrokerMergeAdditive },
 		"partitions": func(c *Config) { c.RelayPartitions = 3 },
-		"online-df":  func(c *Config) { c.DFMode = DFOnlineEq5 },
+		"online-df":  func(c *Config) { c.DFMode = engine.DFOnlineEq5 },
 	}
 	for name, tweak := range variants {
 		for _, load := range []struct {

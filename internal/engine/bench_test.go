@@ -82,6 +82,7 @@ func BenchmarkEngineContact(b *testing.B) {
 				}, nil, now)
 			}
 
+			leftCache, rightCache := NewSessionCache(), NewSessionCache()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -91,8 +92,8 @@ func BenchmarkEngineContact(b *testing.B) {
 					// reseed keeps the filters in a realistic regime.
 					reseed()
 				}
-				sl := left.BeginContact(nil, now)
-				sr := right.BeginContact(nil, now)
+				sl := left.BeginContact(leftCache, nil, now)
+				sr := right.BeginContact(rightCache, nil, now)
 				sl.SetPeer(sr.Hello())
 				sr.SetPeer(sl.Hello())
 				actL, actR := sl.Elect(), sr.Elect()

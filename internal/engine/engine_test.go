@@ -20,8 +20,8 @@ func mustNode(t *testing.T, id NodeID, cfg Config, ttl time.Duration) *Node {
 // contact runs the hello/election round trip between two nodes and
 // returns the two sessions, post-election.
 func contact(a, b *Node, budget Budget, now time.Duration) (*Session, *Session) {
-	sa := a.BeginContact(budget, now)
-	sb := b.BeginContact(budget, now)
+	sa := a.BeginContact(nil, budget, now)
+	sb := b.BeginContact(nil, budget, now)
 	sa.SetPeer(sb.Hello())
 	sb.SetPeer(sa.Hello())
 	actA, actB := sa.Elect(), sb.Elect()
@@ -120,8 +120,8 @@ func TestBrokersDoNotElect(t *testing.T) {
 	broker := mustNode(t, 0, cfg, time.Hour)
 	peer := mustNode(t, 1, cfg, time.Hour)
 	broker.Promote(0)
-	sb := broker.BeginContact(Unlimited{}, time.Minute)
-	sp := peer.BeginContact(Unlimited{}, time.Minute)
+	sb := broker.BeginContact(nil, Unlimited{}, time.Minute)
+	sp := peer.BeginContact(nil, Unlimited{}, time.Minute)
 	sb.SetPeer(sp.Hello())
 	if act := sb.Elect(); act != ActNone {
 		t.Errorf("a broker elected %v; Section V-B forbids it", act)
@@ -266,11 +266,11 @@ func TestHelloSnapshotExcludesCurrentContact(t *testing.T) {
 	a := mustNode(t, 0, cfg, time.Hour)
 	b := mustNode(t, 1, cfg, time.Hour)
 	a.RecordMeeting(5, time.Minute)
-	sa := a.BeginContact(Unlimited{}, 2*time.Minute)
+	sa := a.BeginContact(nil, Unlimited{}, 2*time.Minute)
 	if got := sa.Hello().Degree; got != 1 {
 		t.Fatalf("hello degree = %d, want 1", got)
 	}
-	sb := b.BeginContact(Unlimited{}, 2*time.Minute)
+	sb := b.BeginContact(nil, Unlimited{}, 2*time.Minute)
 	sa.SetPeer(sb.Hello())
 	if got := a.Degree(2 * time.Minute); got != 2 {
 		t.Errorf("post-SetPeer degree = %d, want 2", got)

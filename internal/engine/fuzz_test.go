@@ -63,6 +63,9 @@ func FuzzSessionSteps(f *testing.F) {
 		a.Subscribe("alpha", "news")
 		b.Subscribe("beta")
 		nodes := [2]*Node{a, b}
+		// Both nodes draw from one cache, so the released-session seeds
+		// run later contacts on recycled (and rebound) arenas.
+		cache := NewSessionCache()
 
 		// recvMode distinguishes how a committed claim's copy lands at the
 		// receiver, mirroring what each adapter does with the bytes.
@@ -150,8 +153,8 @@ func FuzzSessionSteps(f *testing.F) {
 			switch code % 14 {
 			case 0: // begin a fresh contact (prior sessions sever)
 				settleSessions()
-				sa = a.BeginContact(nil, now)
-				sb = b.BeginContact(nil, now)
+				sa = a.BeginContact(cache, nil, now)
+				sb = b.BeginContact(cache, nil, now)
 				sa.SetPeer(sb.Hello())
 				sb.SetPeer(sa.Hello())
 				actA, actB := sa.Elect(), sb.Elect()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +31,8 @@ func (m *meter) Spend(n int) bool {
 // world is one copy of a small population for the Hand* differential.
 type world struct {
 	nodes []*Node
-	trail []string // what each contact moved, in order
+	trail []string      // what each contact moved, in order
+	cache *SessionCache // where contacts draw session arenas; nil: unpooled
 }
 
 func newWorld(t *testing.T, seed int64, cfg Config) *world {
@@ -75,7 +77,7 @@ func (w *world) claimed(c *Claim, ok bool, to *Node, from NodeID, carried bool, 
 // contact runs one simulator-style contact, over the Hand* steps or over
 // the byte steps they replace.
 func (w *world) contact(t *testing.T, a, b *Node, budget Budget, now time.Duration, hand bool) {
-	sa, sb := a.BeginContact(budget, now), b.BeginContact(budget, now)
+	sa, sb := a.BeginContact(w.cache, budget, now), b.BeginContact(w.cache, budget, now)
 	defer sb.Release()
 	defer sa.Release()
 	sa.SetPeer(sb.Hello())
@@ -207,32 +209,94 @@ func TestHandStepsMatchByteSteps(t *testing.T) {
 					t.Fatalf("merge %d seed %d contact %d: transfers differ\nhand:  %v\nbytes: %v", merge, seed, c, hand.trail, wire.trail)
 				}
 			}
-			for id := range hand.nodes {
-				h, w := hand.nodes[id], wire.nodes[id]
-				if !reflect.DeepEqual(h.CarriedIDs(), w.CarriedIDs()) || !reflect.DeepEqual(h.DeliveredIDs(), w.DeliveredIDs()) ||
-					h.IsBroker() != w.IsBroker() {
-					t.Fatalf("merge %d seed %d: node %d state differs", merge, seed, id)
-				}
-				for _, m := range h.ProducedIDs() {
-					if h.ProducedCopies(m) != w.ProducedCopies(m) {
-						t.Fatalf("merge %d seed %d: node %d copies of %d differ", merge, seed, id, m)
-					}
-				}
-				if h.Relay() == nil {
-					continue
-				}
-				hb, err := h.Relay().Encode(tcbf.CountersFull)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wb, err := w.Relay().Encode(tcbf.CountersFull)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(hb, wb) {
-					t.Fatalf("merge %d seed %d: node %d relay filters differ", merge, seed, id)
-				}
-			}
+			requireSameState(t, fmt.Sprintf("merge %d seed %d", merge, seed), hand, wire)
 		}
 	}
+}
+
+// requireSameState fails unless every node of a and b holds the same
+// carried and delivered messages, role, produced copy counts, and relay
+// filter.
+func requireSameState(t *testing.T, label string, a, b *world) {
+	t.Helper()
+	for id := range a.nodes {
+		h, w := a.nodes[id], b.nodes[id]
+		if !reflect.DeepEqual(h.CarriedIDs(), w.CarriedIDs()) || !reflect.DeepEqual(h.DeliveredIDs(), w.DeliveredIDs()) ||
+			h.IsBroker() != w.IsBroker() {
+			t.Fatalf("%s: node %d state differs", label, id)
+		}
+		for _, m := range h.ProducedIDs() {
+			if h.ProducedCopies(m) != w.ProducedCopies(m) {
+				t.Fatalf("%s: node %d copies of %d differ", label, id, m)
+			}
+		}
+		if h.Relay() == nil {
+			continue
+		}
+		hb, err := h.Relay().Encode(tcbf.CountersFull)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := w.Relay().Encode(tcbf.CountersFull)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hb, wb) {
+			t.Fatalf("%s: node %d relay filters differ", label, id)
+		}
+	}
+}
+
+// TestSessionCacheRebindsAcrossGeometry shares one SessionCache between two
+// populations with different FilterM. Every contact in the second
+// population draws the arenas a contact in the first has just released, so
+// each draw rebinds an arena to a node of the other geometry, which must
+// drop its scratch filters and rebuild them at the new node's. The pooled
+// contacts must charge the same budget, move the same copies, and leave the
+// same state as the same contacts on fresh, unpooled sessions.
+func TestSessionCacheRebindsAcrossGeometry(t *testing.T) {
+	small, big := DefaultConfig(0.05), DefaultConfig(0.05)
+	small.FilterM = 128
+	big.FilterM = 512
+	cache := NewSessionCache()
+	other := newWorld(t, 1, small)
+	pooled, fresh := newWorld(t, 2, big), newWorld(t, 2, big)
+	other.cache, pooled.cache = cache, cache
+	for _, w := range []*world{other, pooled, fresh} {
+		for _, n := range w.nodes {
+			n.Promote(0)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	now := time.Duration(0)
+	for c := 0; c < 100; c++ {
+		now += time.Duration(rng.Intn(20)) * time.Minute
+		i, j := rng.Intn(6), rng.Intn(5)
+		if j >= i {
+			j++
+		}
+		other.contact(t, other.nodes[i], other.nodes[j], Unlimited{}, now, false)
+		mp, mf := &meter{left: 1 << 20}, &meter{left: 1 << 20}
+		pooled.contact(t, pooled.nodes[i], pooled.nodes[j], mp, now, false)
+		fresh.contact(t, fresh.nodes[i], fresh.nodes[j], mf, now, false)
+		if !reflect.DeepEqual(mp.log, mf.log) {
+			t.Fatalf("contact %d: budget charges differ\npooled: %v\nfresh:  %v", c, mp.log, mf.log)
+		}
+		if !reflect.DeepEqual(pooled.trail, fresh.trail) {
+			t.Fatalf("contact %d: transfers differ\npooled: %v\nfresh:  %v", c, pooled.trail, fresh.trail)
+		}
+	}
+	relays := 0
+	for _, step := range pooled.trail {
+		if strings.HasPrefix(step, "relays ") && !strings.HasPrefix(step, "relays 0 ") && strings.HasSuffix(step, " <nil>") {
+			relays++
+		}
+	}
+	if relays == 0 {
+		t.Fatal("no broker-broker relay exchange ran")
+	}
+	if len(cache.free) != 2 {
+		t.Errorf("cache holds %d arenas, want the 2 one contact uses", len(cache.free))
+	}
+	requireSameState(t, "pooled vs fresh", pooled, fresh)
 }

@@ -97,10 +97,6 @@ type Node struct {
 	// sightings maps broker IDs to this node's latest sighting of them.
 	sightings map[NodeID]sighting
 
-	// freeSessions holds released sessions whose scratch arenas (filters,
-	// encode buffers, claim records) the next BeginContact reuses.
-	freeSessions []*Session
-
 	// clockHigh is the node's time high-water mark. Every session step that
 	// touches TCBF state ratchets its pinned time up to this mark (and
 	// advances the mark), so concurrent sessions interleaving on one node —

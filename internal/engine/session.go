@@ -63,20 +63,20 @@ type Forward struct {
 // is never refunded: a severed contact still transmitted the bytes.
 //
 // A session owns a scratch arena — filters, encode buffers, candidate and
-// transfer lists, claim records — that Release returns to the node for the
-// next contact, so a warm BeginContact → … → Release cycle allocates
-// nothing. The arena implies an aliasing contract: bytes returned by
-// RelayOut or RelayAdvertOut are valid until the same step runs again on
-// this session (or the session is released), those returned by
-// GenuineOut and InterestOut are immutable, and the slices returned by ForwardCandidates,
-// DeliveryMatches, and ReplicationMatches are valid until the same kind of
-// step runs again.
+// transfer lists, claim records — that Release returns to its SessionCache
+// for the next contact, so a warm BeginContact → … → Release cycle through
+// a cache allocates nothing. The arena implies an aliasing contract: bytes
+// returned by RelayOut or RelayAdvertOut are valid until the same step runs
+// again on this session (or the session is released), those returned by
+// GenuineOut and InterestOut are immutable, and the slices returned by
+// ForwardCandidates, DeliveryMatches, and ReplicationMatches are valid
+// until the same kind of step runs again.
 type Session struct {
 	n      *Node
 	budget Budget
 	now    time.Duration
-	// cache, when non-nil, is where Release returns this session instead
-	// of the node's own freelist (see SessionCache).
+	// cache, when non-nil, is where Release returns this session's
+	// scratch arena (see SessionCache).
 	cache *SessionCache
 
 	// helloBroker pins the role announced at contact start; concurrent
@@ -121,34 +121,13 @@ type Session struct {
 	claimArena claimArena
 }
 
-// BeginContact opens a contact session at the given time, reusing a
-// released session's scratch arena when one is available. The hello
-// snapshot (role, degree) is taken before the meeting itself is recorded.
-//
-//bsub:hotpath
-func (n *Node) BeginContact(budget Budget, now time.Duration) *Session {
-	var s *Session
-	if k := len(n.freeSessions); k > 0 {
-		s = n.freeSessions[k-1]
-		n.freeSessions[k-1] = nil
-		n.freeSessions = n.freeSessions[:k-1]
-	} else {
-		s = &Session{n: n}
-	}
-	s.cache = nil
-	return s.begin(budget, now)
-}
-
-// SessionCache pools released sessions' scratch arenas across nodes.
-// Per-node freelists (BeginContact) keep one warm arena per node — at
-// million-node populations that is gigabytes of idle scratch filters. An
-// adapter that serializes its contacts (or runs one cache per worker, as
-// the sharded simulator does) needs only as many arenas as it has
-// concurrent contacts, whatever the population size. A cache must not be
-// used from concurrent goroutines, and every node it serves must run the
-// same filter geometry (Config.FilterM/FilterK/Partitions); a session
-// rebound to a node with different geometry drops its arena and rebuilds
-// lazily.
+// SessionCache pools released sessions' scratch arenas. An adapter needs
+// only as many arenas as it has concurrent contacts, whatever the
+// population size: the sharded simulator runs one cache per worker, the
+// live node one per node. A cache must not be used from concurrent
+// goroutines. Nodes sharing a cache should run the same filter geometry
+// (Config.FilterM/FilterK/Partitions, Backend); a session rebound to a
+// node with a different one drops its arena and rebuilds it lazily.
 type SessionCache struct {
 	free []*Session
 }
@@ -156,34 +135,32 @@ type SessionCache struct {
 // NewSessionCache returns an empty cache.
 func NewSessionCache() *SessionCache { return &SessionCache{} }
 
-// BeginContactFrom opens a contact session like BeginContact, drawing the
-// scratch arena from c instead of the node's own freelist; Release will
-// return it to c. A nil cache falls back to BeginContact. Rebinding a
-// cached arena to a different node is safe: every scratch filter is
-// Reset/DecodeInto'd (which re-pins its clock) before use, so the arena
-// carries no state — and in particular no time obligation — between nodes.
+// BeginContact opens a contact session at the given time, drawing a
+// released session's scratch arena from c when one is available; Release
+// returns it to c. A nil cache gives an unpooled session. The hello
+// snapshot (role, degree) is taken before the meeting itself is recorded.
+// Rebinding a cached arena to a different node is safe: every scratch
+// filter is Reset/DecodeInto'd (which re-pins its clock) before use, so
+// the arena carries no state — and in particular no time obligation —
+// between nodes.
 //
 //bsub:hotpath
-func (n *Node) BeginContactFrom(c *SessionCache, budget Budget, now time.Duration) *Session {
-	if c == nil {
-		return n.BeginContact(budget, now)
+func (n *Node) BeginContact(c *SessionCache, budget Budget, now time.Duration) *Session {
+	if c == nil || len(c.free) == 0 {
+		s := &Session{n: n, cache: c}
+		return s.begin(budget, now)
 	}
-	var s *Session
-	if k := len(c.free); k > 0 {
-		s = c.free[k-1]
-		c.free[k-1] = nil
-		c.free = c.free[:k-1]
-		if s.n != n {
-			if s.n.fcfg != n.fcfg || s.n.cfg.partitions() != n.cfg.partitions() ||
-				s.n.cfg.backend() != n.cfg.backend() {
-				s.dropArena()
-			}
-			s.n = n
+	k := len(c.free)
+	s := c.free[k-1]
+	c.free[k-1] = nil
+	c.free = c.free[:k-1]
+	if s.n != n {
+		if s.n.fcfg != n.fcfg || s.n.cfg.partitions() != n.cfg.partitions() ||
+			s.n.cfg.backend() != n.cfg.backend() {
+			s.dropArena()
 		}
-	} else {
-		s = &Session{n: n}
+		s.n = n
 	}
-	s.cache = c
 	return s.begin(budget, now)
 }
 
@@ -232,8 +209,9 @@ func (s *Session) begin(budget Budget, now time.Duration) *Session {
 var claimLeakHook func(leaked int)
 
 // Release ends the session's lifecycle: any unsettled claim is refunded
-// (as by Abort) and the session's scratch arena returns to the node, where
-// the next BeginContact reuses its filters, buffers, and claim records.
+// (as by Abort) and the session's scratch arena returns to the cache it
+// was drawn from, where the next BeginContact reuses its filters,
+// buffers, and claim records.
 // The session, its claims, and any slice a step returned must not be used
 // after Release. Idempotent.
 //
@@ -254,9 +232,7 @@ func (s *Session) Release() {
 	s.released = true
 	if s.cache != nil {
 		s.cache.free = append(s.cache.free, s)
-		return
 	}
-	s.n.freeSessions = append(s.n.freeSessions, s)
 }
 
 // ratchet clamps the session's pinned time to the node's high-water mark.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bsub/internal/core"
+	"bsub/internal/engine"
 	"bsub/internal/metrics"
 	"bsub/internal/sim"
 )
@@ -50,7 +51,7 @@ func runVariants(f *Fixture, ttl time.Duration, variants []struct {
 func AblateMerge(f *Fixture, ttl time.Duration) ([]AblationResult, error) {
 	base := f.BSubConfig(ttl)
 	aMerge := base
-	aMerge.BrokerMerge = core.BrokerMergeAdditive
+	aMerge.BrokerMerge = engine.BrokerMergeAdditive
 	return runVariants(f, ttl, []struct {
 		name string
 		cfg  core.Config
@@ -134,10 +135,10 @@ func AblateDFPolicy(f *Fixture, ttl time.Duration, targetFPR float64) ([]Ablatio
 	fixed := f.BSubConfig(ttl)
 
 	online := core.DefaultConfig(0)
-	online.DFMode = core.DFOnlineEq5
+	online.DFMode = engine.DFOnlineEq5
 
 	feedback := core.DefaultConfig(0)
-	feedback.DFMode = core.DFFeedback
+	feedback.DFMode = engine.DFFeedback
 	feedback.TargetFPR = targetFPR
 
 	return runVariants(f, ttl, []struct {

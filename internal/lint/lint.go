@@ -11,10 +11,7 @@
 // `go list -json -deps`, parsed with go/parser, and type-checked with
 // go/types in dependency order — in parallel waves, one wave per
 // dependency depth. No golang.org/x/tools machinery is used, so the
-// linter builds anywhere the repo builds. Findings can be cached per
-// package keyed by a content hash of the package's files and transitive
-// dependencies (see TryCache and WriteCache), which is what
-// `make lint-fast` uses.
+// linter builds anywhere the repo builds.
 package lint
 
 import (
@@ -81,7 +78,6 @@ type Package struct {
 	InModule  bool // belongs to the module under analysis
 	Files     []*ast.File
 	Filenames []string
-	Imports   []string // import paths, as listed (cache keying)
 	Types     *types.Package
 	Info      *types.Info
 }
@@ -273,54 +269,43 @@ func collectSuppressions(fset *token.FileSet, pkgs []*Package) []suppression {
 	return out
 }
 
-// PackageResult is one package's findings after suppression filtering,
-// sorted by position. It is the unit the findings cache stores.
-type PackageResult struct {
-	Pkg        *Package
-	Findings   []Diagnostic
-	Suppressed int
-}
-
 // Run executes the analyzers over every module package each applies to
 // and returns the surviving findings sorted by position, plus the count
 // of findings silenced by //lint:ignore directives. Analysis fans out
-// over a worker pool: packages are independent once the wave-ordered
-// type-check in the loader has finished.
+// over a worker pool, one package per worker up to GOMAXPROCS: packages
+// are independent once the wave-ordered type-check in the loader has
+// finished.
 func (prog *Program) Run(analyzers ...*Analyzer) (findings []Diagnostic, suppressed int) {
-	results := prog.RunPackages(prog.Module, analyzers...)
-	for _, r := range results {
-		findings = append(findings, r.Findings...)
-		suppressed += r.Suppressed
+	type result struct {
+		findings   []Diagnostic
+		suppressed int
 	}
-	sortDiagnostics(findings)
-	return findings, suppressed
-}
-
-// RunPackages analyzes the given module packages concurrently, one
-// worker per package up to GOMAXPROCS.
-func (prog *Program) RunPackages(pkgs []*Package, analyzers ...*Analyzer) []*PackageResult {
-	results := make([]*PackageResult, len(pkgs))
+	results := make([]result, len(prog.Module))
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
+	for i, pkg := range prog.Module {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int, pkg *Package) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i] = prog.runPackage(pkg, analyzers)
+			results[i].findings, results[i].suppressed = prog.runPackage(pkg, analyzers)
 		}(i, pkg)
 	}
 	wg.Wait()
-	return results
+	for _, r := range results {
+		findings = append(findings, r.findings...)
+		suppressed += r.suppressed
+	}
+	sortDiagnostics(findings)
+	return findings, suppressed
 }
 
 // runPackage runs every applicable analyzer over one package and
 // filters the findings through that package's //lint:ignore directives.
 // Suppression matching is per-file, so filtering per package is exactly
-// equivalent to the whole-module pass — which is what makes per-package
-// finding caching sound.
-func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) *PackageResult {
+// equivalent to a whole-module pass.
+func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) (findings []Diagnostic, suppressed int) {
 	var all []Diagnostic
 	rel := pkg.Rel(prog.ModulePath)
 	for _, a := range analyzers {
@@ -329,7 +314,6 @@ func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) *PackageRes
 		}
 		a.Run(&Pass{Prog: prog, Pkg: pkg, analyzer: a, diags: &all})
 	}
-	res := &PackageResult{Pkg: pkg}
 	sups := collectSuppressions(prog.Fset, []*Package{pkg})
 	covered := func(d Diagnostic) bool {
 		for _, s := range sups {
@@ -342,20 +326,13 @@ func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) *PackageRes
 	}
 	for _, d := range all {
 		if covered(d) {
-			res.Suppressed++
+			suppressed++
 			continue
 		}
-		res.Findings = append(res.Findings, d)
+		findings = append(findings, d)
 	}
-	sortDiagnostics(res.Findings)
-	return res
+	return findings, suppressed
 }
-
-// SortDiagnostics orders findings by file, line, column, analyzer — the
-// driver's stable output order. Callers that assemble findings from
-// RunPackages or relativize paths re-sort before printing so text and
-// cached output stay byte-identical.
-func SortDiagnostics(ds []Diagnostic) { sortDiagnostics(ds) }
 
 // sortDiagnostics orders findings by file, line, column, analyzer — the
 // driver's stable output order.
@@ -416,7 +393,8 @@ func ByName(names string) ([]*Analyzer, error) {
 }
 
 // Relativize rewrites diagnostic filenames relative to dir when
-// possible, for stable, readable driver output.
+// possible, for stable, readable driver output. Module files all share
+// dir as a prefix, so Run's sort order survives the rewrite.
 func Relativize(dir string, ds []Diagnostic) {
 	if abs, err := filepath.Abs(dir); err == nil {
 		dir = abs

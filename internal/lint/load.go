@@ -91,7 +91,7 @@ func LoadModule(dir string, patterns ...string) (*Program, error) {
 // dependency-parallel waves — every package whose imports finished in
 // earlier waves checks concurrently with the rest of its wave. The
 // waves give the driver its cold-start speed; per-package analysis
-// fans out separately in RunPackages.
+// fans out separately in Program.Run.
 func typecheck(listed []*listPackage, modulePath string) (*Program, error) {
 	prog := &Program{
 		Fset:       token.NewFileSet(),
@@ -128,7 +128,6 @@ func typecheck(listed []*listPackage, modulePath string) (*Program, error) {
 			Standard: lp.Standard,
 			InModule: inModule,
 			Files:    make([]*ast.File, len(lp.GoFiles)),
-			Imports:  lp.Imports,
 		}
 	}
 	workers := max(1, runtime.GOMAXPROCS(0))

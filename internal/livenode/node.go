@@ -137,12 +137,13 @@ type Node struct {
 	// MaxSessions sets, as many as can be in use at once.
 	bufs chan *wireBufs
 
-	// mu guards the engine node and the publish sequence. It never
-	// nests with statsMu, but the ranks pin the order if that ever
-	// changes: mu first, statsMu innermost.
+	// mu guards the engine node, its sessions' scratch arenas, and the
+	// publish sequence. It never nests with statsMu, but the ranks pin
+	// the order if that ever changes: mu first, statsMu innermost.
 	//bsub:lockrank 10
 	mu      sync.Mutex
 	eng     *engine.Node
+	arenas  *engine.SessionCache
 	nextSeq uint32
 
 	// statsMu guards the session counters (see stats.go).
@@ -197,6 +198,7 @@ func Listen(addr string, cfg Config) (*Node, error) {
 		sessions:  make(chan struct{}, cfg.MaxSessions),
 		bufs:      make(chan *wireBufs, cfg.MaxSessions),
 		eng:       eng,
+		arenas:    engine.NewSessionCache(),
 	}
 	n.wg.Add(1)
 	go n.serve()
